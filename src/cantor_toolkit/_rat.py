@@ -58,8 +58,12 @@ def dec_to_rational(text: str) -> "Q":
     """Parse a plain decimal string like '0.366025' exactly."""
     text = text.strip()
     sign = -1 if text.startswith("-") else 1
-    text = text.lstrip("+-")
+    if text.startswith(("+", "-")):
+        text = text[1:]
     whole, _, frac = text.partition(".")
+    digits = whole + frac
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("cannot parse %r as a plain decimal" % (text,))
     scale = 10 ** len(frac)
     return sign * Q(int(whole or "0") * scale + int(frac or "0"), scale)
 

@@ -32,7 +32,7 @@ def _parse_rational(text: str, name: str) -> Q:
         if "." in text:
             return dec_to_rational(text)
         return to_rational(text)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, ZeroDivisionError):
         raise ConfigError("%s: cannot parse %r as an exact rational" % (name, text))
 
 
@@ -55,7 +55,10 @@ def _parse_point(text: str, name: str) -> Q:
 def _parse_tol(text: str) -> Q:
     text = text.strip()
     if text.startswith("2^-"):
-        return Q(1, 2 ** int(text[3:]))
+        exponent = text[3:]
+        if not (exponent.isascii() and exponent.isdigit()):
+            raise ConfigError("tol: cannot parse %r as 2^-N with an integer N >= 0" % text)
+        return Q(1, 1 << int(exponent))
     value = _parse_rational(text, "tol")
     if value <= 0:
         raise ConfigError("tol must be positive")

@@ -15,7 +15,7 @@ from typing import Optional
 from ._rat import Q, to_rational
 from .coding import GreedyExpansion
 from .errors import DomainError, EmptyWindowError
-from .exact_arith import Bracket, Code, Tail, solve_lambda
+from .exact_arith import Bracket, Code, Tail, resolve_tol, solve_lambda
 from .lambda_set import CoverLevel, cover, hull_of
 
 logger = logging.getLogger(__name__)
@@ -193,7 +193,7 @@ def gamma_j(x, m: int, j: int, tol=None) -> Bracket:
     if j < 1:
         raise DomainError("j must be >= 1")
     x = to_rational(x)
-    return _gamma_cached(x, m, j, None if tol is None else to_rational(tol))
+    return _gamma_cached(x, m, j, resolve_tol(tol))
 
 
 def dim_lower_formula(m: int, k: int, gamma: float) -> float:

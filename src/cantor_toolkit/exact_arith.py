@@ -169,12 +169,6 @@ class Bracket:
     def midpoint(self) -> Q:
         return (self.lo + self.hi) / 2
 
-    def refined(self) -> "Bracket":
-        return refine(self)
-
-    def refined_to(self, tol) -> "Bracket":
-        return refine_to(self, tol)
-
     def __float__(self) -> float:
         return float(self.midpoint)
 
@@ -233,6 +227,20 @@ def _split_point(lo, hi) -> Q:
     return simplest_between(lo + width / 3, hi - width / 3)
 
 
+def resolve_tol(tol) -> Q:
+    """The bracket width target: DEFAULT_TOL for None, else a positive rational.
+
+    Every cached entry point keys on the resolved value, so omitting `tol`
+    and passing DEFAULT_TOL share one cache entry.
+    """
+    if tol is None:
+        return DEFAULT_TOL
+    tol = to_rational(tol)
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    return tol
+
+
 def solve_lambda(x, code: Code, tol=None) -> Bracket:
     """Bracket the unique lam in (0, 1/m] with series(code)(lam) = x.
 
@@ -243,12 +251,7 @@ def solve_lambda(x, code: Code, tol=None) -> Bracket:
     x = to_rational(x)
     if not 0 < x < 1:
         raise DomainError("x must lie in (0, 1)")
-    if tol is None:
-        tol = DEFAULT_TOL
-    else:
-        tol = to_rational(tol)
-        if tol <= 0:
-            raise DomainError("tol must be positive")
+    tol = resolve_tol(tol)
     canon = code.canonical()
     if canon.tail is Tail.TRUNCATED:
         raise DomainError("cannot solve against a truncated code")

@@ -14,16 +14,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from ._parallel import pmap
 from ._rat import Q, to_rational
 from .coding import GreedyExpansion
 from .errors import DomainError, NoRootError, NotAdmissibleError
 from .exact_arith import (
-    DEFAULT_TOL,
     Bracket,
     Code,
     Ordering,
     Tail,
+    resolve_tol,
     separate_brackets,
     solve_lambda,
 )
@@ -50,9 +49,6 @@ class BasicInterval:
     @property
     def width_hi(self) -> Q:
         return self.right.hi - self.left.lo
-
-    def refined_to(self, tol) -> "BasicInterval":
-        return BasicInterval(self.word, self.left.refined_to(tol), self.right.refined_to(tol))
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ def _cover_cached(x, m: int, depth: int, tol) -> CoverLevel:
     words = [w for w, _ in _admissible_tree(ge, depth)]
     # ascending parameter order is descending word order
     words.reverse()
-    intervals = pmap(lambda w: interval_for_prefix(x, m, w, tol), words)
+    intervals = [interval_for_prefix(x, m, w, tol) for w in words]
     intervals, gaps = _separate_adjacent(intervals)
     return CoverLevel(
         x=x,
@@ -186,8 +182,7 @@ def _cover_cached(x, m: int, depth: int, tol) -> CoverLevel:
 def cover(x, m: int, depth: int, tol=None) -> CoverLevel:
     """The depth-n cover of the parameter set: disjoint sorted intervals + gaps."""
     x = to_rational(x)
-    tol = DEFAULT_TOL if tol is None else to_rational(tol)
-    return _cover_cached(x, m, depth, tol)
+    return _cover_cached(x, m, depth, resolve_tol(tol))
 
 
 def cover_sequence(x, m: int, depth: int, tol=None) -> list[CoverLevel]:

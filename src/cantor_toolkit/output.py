@@ -100,11 +100,15 @@ def cover_svg(levels: list[CoverLevel], digits: int) -> str:
         raise DomainError("need at least one cover level")
     levels = sorted(levels, key=lambda c: c.depth)
     hull_lo, hull_hi = levels[0].hull
+    # A rendering step narrower than the hull keeps the two rounded hull
+    # endpoints apart, so the span below is positive.
+    if Q(1, 10**digits) >= hull_hi - hull_lo:
+        raise DomainError(
+            "digits=%d too coarse for the hull [%s, %s]" % (digits, rat_str(hull_lo), rat_str(hull_hi))
+        )
     lo_dec = dec_to_rational(dec_str(hull_lo, digits))
     hi_dec = dec_to_rational(dec_str(hull_hi, digits))
     span = hi_dec - lo_dec
-    if span <= 0:
-        raise DomainError("digits=%d too coarse to separate the hull endpoints" % digits)
 
     def xpos(value_dec: str) -> float:
         return SVG_MARGIN + float((dec_to_rational(value_dec) - lo_dec) / span) * SVG_PLOT_WIDTH

@@ -28,6 +28,7 @@ from .exact_arith import (
     compare_brackets,
     eval_pi,
     refine,
+    resolve_tol,
     separate_brackets,
     solve_lambda,
 )
@@ -158,8 +159,7 @@ def ek_hulls(x, m: int, count: int, tol=None) -> list[EkSystem]:
         raise DomainError("x must lie in (0, 1)")
     if count < 1:
         return []
-    tol = None if tol is None else to_rational(tol)
-    return list(_ek_hulls_cached(x, m, count, tol))
+    return list(_ek_hulls_cached(x, m, count, resolve_tol(tol)))
 
 
 def ek_system(x, m: int, k: int, tol=None) -> EkSystem:
@@ -255,8 +255,8 @@ def tau_estimate(x, m: int, k: int, depth: int = 3, tol=None) -> ThicknessReport
     """Finite-depth thickness report for the k-th subsystem of x."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    system = ek_system(x, m, k, tol)
-    return _tau_report_cached(system, depth, None if tol is None else to_rational(tol))
+    tol = resolve_tol(tol)
+    return _tau_report_cached(ek_system(x, m, k, tol), depth, tol)
 
 
 def dim_lower_from_tau(tau: float) -> float:
@@ -468,6 +468,7 @@ def find_interleaved_pairs(
     x, y = to_rational(x), to_rational(y)
     if kmax < 1:
         return []
+    tol = resolve_tol(tol)
     systems_x = ek_hulls(x, m, kmax, tol)
     systems_y = ek_hulls(y, m, kmax, tol)
     same = x == y
@@ -484,8 +485,8 @@ def find_interleaved_pairs(
                 witness_y = _witness_inside(sy, sx, depth, tol, same)
                 if witness_x is None or witness_y is None:
                     continue
-            tau_x = _tau_report_cached(sx, depth, None if tol is None else to_rational(tol))
-            tau_y = _tau_report_cached(sy, depth, None if tol is None else to_rational(tol))
+            tau_x = _tau_report_cached(sx, depth, tol)
+            tau_y = _tau_report_cached(sy, depth, tol)
             tau_min = min(tau_x.tau_empirical, tau_y.tau_empirical)
             pairs.append(
                 InterleavePair(

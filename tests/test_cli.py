@@ -3,6 +3,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantor_toolkit import cli
 from cantor_toolkit._rat import Q, dec_to_rational
@@ -30,6 +32,43 @@ def test_x_outside_unit_interval_exits_2(capsys):
     code, out, err = run_cli(capsys, "cover", "--m", "2", "--x", "3/2", "--depth", "3")
     assert code == 2
     assert "x must lie in (0,1)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cover", "--m", "2", "--x", "1/0", "--depth", "3"),
+        ("cover", "--m", "2", "--x", "1.-5", "--depth", "3"),
+        ("intersect", "--m", "2", "--x", "1/2", "--y", "1/0", "--kmax", "2"),
+        ("membership", "--m", "2", "--x", "1/2", "--lambda", "1/0"),
+        ("dimension", "--m", "2", "--x", "1/2", "--at", "1/m", "--deltas", "1/0"),
+        ("cover", "--m", "2", "--x", "1/2", "--depth", "3", "--tol", "1/0"),
+        ("cover", "--m", "2", "--x", "1/2", "--depth", "3", "--tol", "2^-abc"),
+        ("cover", "--m", "2", "--x", "1/2", "--depth", "3", "--tol", "2^--5"),
+    ],
+)
+def test_unparsable_number_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+# Ten characters at most: '2^-' plus seven digits keeps the largest tol
+# denominator the parser builds near a megabyte.
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789/^.-+eabx", max_size=10))
+def test_parse_helpers_return_rational_or_config_error(text):
+    parsers = (
+        lambda t: cli._parse_rational(t, "v"),
+        lambda t: cli._parse_point(t, "x"),
+        cli._parse_tol,
+    )
+    for parse in parsers:
+        try:
+            value = parse(text)
+        except cli.ConfigError:
+            continue
+        assert type(value) is type(Q(0))
 
 
 def test_x_zero_and_one_documented_special_cases(capsys):
@@ -120,6 +159,13 @@ def test_cover_svg_byte_deterministic_and_rows(capsys):
     assert 'n=2' in svg1 and 'n=3' in svg1 and 'n=4' in svg1
     # first gap of the construction separates bars at 0.366025 / 0.396608
     assert "hull [0.333333, 0.500000]" in svg1
+
+
+def test_cover_svg_digits_too_coarse_for_hull_exits_2(capsys):
+    code, out, err = run_cli(capsys, "cover", "--m", "2", "--x", "1/2", "--depth", "2",
+                             "--digits", "0", "--format", "svg")
+    assert code == 2 and out == ""
+    assert "too coarse" in err
 
 
 # ---------------------------------------------------------------------------

@@ -211,21 +211,6 @@ def test_gap_points_excluded_for_random_points(x, m):
         assert membership(x, lam, m, max_steps=depth + 1).verdict is Verdict.NOT_MEMBER
 
 
-def test_cover_identical_under_worker_threads(monkeypatch):
-    from cantor_toolkit.exact_arith import _solve_cached
-    from cantor_toolkit.lambda_set import _cover_cached
-
-    args = (Q(3, 7), 2, 6, Q(1, 2**24))
-    _cover_cached.cache_clear()
-    _solve_cached.cache_clear()
-    sequential = cover(*args)
-    monkeypatch.setenv("CANTOR_TOOLKIT_THREADS", "4")
-    _cover_cached.cache_clear()
-    _solve_cached.cache_clear()
-    threaded = cover(*args)
-    assert threaded == sequential
-
-
 @settings(max_examples=25, deadline=None)
 @given(xs, st.integers(2, 3))
 def test_cover_property_sorted_disjoint_inside_hull(x, m):

@@ -41,6 +41,12 @@ def test_dec_to_rational_exact():
     assert dec_to_rational("7") == Q(7)
 
 
+@pytest.mark.parametrize("text", ["1.-5", "1.+5", "0. 5", "+-0.5", "1.2.3", ".", "-", ""])
+def test_dec_to_rational_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        dec_to_rational(text)
+
+
 def test_fraction_fallback_without_gmpy2():
     # the package must stay functional (if slower) when gmpy2 is absent
     script = """

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cantor_toolkit import (
+    DEFAULT_TOL,
     DomainError,
     GreedyExpansion,
     Ordering,
@@ -62,6 +63,15 @@ def test_raised_digits_enumerate_all_choices():
 
 # ---------------------------------------------------------------------------
 # subsystem basic intervals
+
+
+def test_omitted_tol_shares_cache_entries_with_default_tol():
+    x = Q(3, 7)
+    omitted = ek_hulls(x, 2, 3)
+    explicit = ek_hulls(x, 2, 3, DEFAULT_TOL)
+    assert len(omitted) == 3
+    assert all(a is b for a, b in zip(omitted, explicit))
+    assert tau_estimate(x, 2, 1, 1) is tau_estimate(x, 2, 1, 1, DEFAULT_TOL)
 
 
 def test_empty_word_is_hull():
