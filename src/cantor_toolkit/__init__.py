@@ -46,7 +46,6 @@ from .exact_arith import (
     eval_pi_bounds,
     refine,
     refine_to,
-    simplest_between,
     solve_lambda,
 )
 from .lambda_set import (

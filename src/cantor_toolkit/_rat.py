@@ -1,10 +1,11 @@
 """Arbitrary-precision rational numbers.
 
-gmpy2.mpq is used when available (roughly an order of magnitude faster on
-the bisection workloads this package runs); fractions.Fraction is the
-fallback.  Both are exact, always in lowest terms, hashable, and
-interoperable, so everything downstream treats ``Q`` as an opaque exact
-rational constructor.
+gmpy2.mpq is used when available; fractions.Fraction is the fallback.
+Both are exact, always in lowest terms, hashable, and interoperable, so
+everything downstream treats ``Q`` as an opaque exact rational constructor.
+Root solving tests signs in plain integer arithmetic and builds ``Q``
+values only for the brackets it returns, so its speed does not depend on
+the backend.
 """
 
 from __future__ import annotations

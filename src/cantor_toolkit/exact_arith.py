@@ -137,9 +137,11 @@ class Bracket:
     """An exact rational interval [lo, hi] certified to contain the unique
     parameter lam in (0, 1/m] with series(code)(lam) = x.
 
-    ``lo == hi`` marks an exactly known (rational) parameter; that arises
-    when bisection lands on the root, and for the capped right endpoint
-    1/m of a basic interval on the greedy spine.
+    Solved ends are dyadic rationals c/2^k, or the hull ends x/(m-1+x) and
+    1/m; each was proved by an exact sign test.  ``lo == hi`` marks an
+    exactly known (rational) parameter; that arises when bisection lands on
+    the root, and for the capped right endpoint 1/m of a basic interval on
+    the greedy spine.
     """
 
     lo: Q
@@ -205,26 +207,56 @@ def eval_pi_bounds(code: Code, lam) -> tuple[Q, Q]:
 
 
 # ---------------------------------------------------------------------------
-# mediant-rounded bisection
+# integer sign kernel and dyadic bisection
 
 
-def simplest_between(lo, hi) -> Q:
-    """Smallest-denominator rational in the closed interval [lo, hi]."""
-    if hi < lo:
-        lo, hi = hi, lo
-    cl = math.ceil(lo)
-    if cl <= hi:
-        return Q(cl)
-    fl = math.floor(lo)
-    return fl + 1 / simplest_between(1 / (hi - fl), 1 / (lo - fl))
+def _sign(code: Code, lam: tuple[int, int], x) -> int:
+    """Sign (-1, 0 or 1) of series(code)(p/q) - x for ``lam = (p, q)``.
+
+    Integer Horner on numerator and denominator: no rational is built and no
+    gcd is taken.  Any rational 0 <= p/q < 1 works (the series is increasing
+    there); `code` must have an explicit tail.  Past its exact check at 1/m,
+    the solver decides every bracket end with one call of this kernel, and
+    so does `refine`.
+    """
+    p, q = lam
+    if code.tail is Tail.MAX:
+        num, den = (code.m - 1) * p, q - p
+    else:
+        num, den = 0, 1
+    for d in reversed(code.prefix):
+        num = (num + d * den) * p
+        den *= q
+    diff = num * x.denominator - x.numerator * den
+    return (diff > 0) - (diff < 0)
 
 
-def _split_point(lo, hi) -> Q:
-    # Split in the middle third at the smallest available denominator; the
-    # true midpoint lies in that window, so denominators never grow faster
-    # than plain bisection while usually staying far smaller.
-    width = hi - lo
-    return simplest_between(lo + width / 3, hi - width / 3)
+#: Finest grid, 2^-SEED_BITS, the float seed is placed on; a double carries
+#: 53 bits, so finer grids are reached by integer bisection alone.
+SEED_BITS = 48
+
+
+def _float_seed(code: Code, x, bits: int) -> float:
+    """Float-bisection estimate of the root, about 2^-bits wide.
+
+    Only a starting point: the solver proves its bracket with exact sign
+    tests and widens it whenever the estimate is wrong.
+    """
+    m = code.m
+    tail = m - 1 if code.tail is Tail.MAX else 0
+    digits = code.prefix[::-1]
+    xf = float(x)
+    lo, hi = xf / (m - 1 + xf), 1.0 / m
+    for _ in range(bits):
+        mid = 0.5 * (lo + hi)
+        acc = tail * mid / (1.0 - mid)
+        for d in digits:
+            acc = (acc + d) * mid
+        if acc < xf:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def resolve_tol(tol) -> Q:
@@ -263,40 +295,66 @@ def solve_lambda(x, code: Code, tol=None) -> Bracket:
 @functools.lru_cache(maxsize=1 << 16)
 def _solve_cached(x, code: Code, tol) -> Bracket:
     m = code.m
-    hi = Q(1, m)
-    v = eval_pi(code, hi)
+    cap = Q(1, m)
+    v = eval_pi(code, cap)
     if v < x:
         raise NoRootError(
             "series of %s reaches only %s at 1/m, below x = %s" % (code.describe(), v, x)
         )
     if v == x:
-        return Bracket(hi, hi, code, x)
+        return Bracket(cap, cap, code, x)
     # Every code is dominated by the all-(m-1) stream, whose root is
-    # x/(m-1+x); that pins a positive lower starting point.
-    lo = x / (m - 1 + x)
-    if eval_pi(code, lo) == x:
-        return Bracket(lo, lo, code, x)
-    while hi - lo > tol:
-        s = _split_point(lo, hi)
-        v = eval_pi(code, s)
-        if v == x:
-            return Bracket(s, s, code, x)
-        if v < x:
-            lo = s
+    # x/(m-1+x); that pins a positive lower end of the search.
+    hull_lo = x / (m - 1 + x)
+    if _sign(code, (hull_lo.numerator, hull_lo.denominator), x) == 0:
+        return Bracket(hull_lo, hull_lo, code, x)
+    if cap - hull_lo <= tol:
+        return Bracket(hull_lo, cap, code, x)
+    # Grid 2^-k, the largest power of two <= tol (so k >= 2 here), capped
+    # where the float seed runs out of bits.  gl/2^k <= hull_lo and
+    # gh/2^k >= 1/m, so the signs there are certain and every widening
+    # below stops by them; the final bracket is cut back to the hull.
+    k = min(((tol.denominator - 1) // tol.numerator).bit_length(), SEED_BITS)
+    one = 1 << k
+    gl = hull_lo.numerator * one // hull_lo.denominator
+    gh = -(-one // m)
+    lo_c = min(max(math.floor(_float_seed(code, x, k) * one), gl), gh - 1)
+    hi_c = lo_c + 1
+    step = 1
+    while (s := _sign(code, (lo_c, one), x)) > 0:
+        lo_c, hi_c = max(lo_c - step, gl), lo_c
+        step *= 2
+    if s == 0:
+        return Bracket(Q(lo_c, one), Q(lo_c, one), code, x)
+    while (s := _sign(code, (hi_c, one), x)) < 0:
+        lo_c, hi_c = hi_c, min(hi_c + step, gh)
+        step *= 2
+    if s == 0:
+        return Bracket(Q(hi_c, one), Q(hi_c, one), code, x)
+    # integer bisection on (c, k) until the dyadic width is within tol
+    while (hi_c - lo_c) * tol.denominator > tol.numerator * one:
+        if hi_c - lo_c == 1:
+            lo_c, hi_c, one = 2 * lo_c, 2 * hi_c, 2 * one
+        mid = (lo_c + hi_c) // 2
+        s = _sign(code, (mid, one), x)
+        if s == 0:
+            return Bracket(Q(mid, one), Q(mid, one), code, x)
+        if s < 0:
+            lo_c = mid
         else:
-            hi = s
-    return Bracket(lo, hi, code, x)
+            hi_c = mid
+    return Bracket(max(Q(lo_c, one), hull_lo), min(Q(hi_c, one), cap), code, x)
 
 
 def refine(bracket: Bracket) -> Bracket:
-    """One certified shrink step (width factor between 1/3 and 2/3)."""
+    """One certified halving step: keep the half whose ends straddle the root."""
     if bracket.is_exact:
         return bracket
-    s = _split_point(bracket.lo, bracket.hi)
-    v = eval_pi(bracket.code, s)
-    if v == bracket.x:
+    s = (bracket.lo + bracket.hi) / 2
+    sign = _sign(bracket.code, (s.numerator, s.denominator), bracket.x)
+    if sign == 0:
         return Bracket(s, s, bracket.code, bracket.x)
-    if v < bracket.x:
+    if sign < 0:
         return Bracket(s, bracket.hi, bracket.code, bracket.x)
     return Bracket(bracket.lo, s, bracket.code, bracket.x)
 

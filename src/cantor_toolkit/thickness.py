@@ -465,6 +465,8 @@ def find_interleaved_pairs(
     endpoint of each subsystem inside the convex hull of the other; an
     empty result at small kmax is a valid outcome.
     """
+    if depth < 1:
+        raise DomainError("depth must be >= 1")
     x, y = to_rational(x), to_rational(y)
     if kmax < 1:
         return []

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own algorithms: digits
 come from a direct floor formula, roots from plain float bisection, word
-counts from exhaustive enumeration, and membership from a closed-interval
-descent of the set construction.
+counts from exhaustive enumeration, membership from a closed-interval
+descent of the set construction, and sample points inside an interval from
+the smallest-denominator rational there.
 """
 
 from __future__ import annotations
@@ -41,6 +42,17 @@ def float_root(prefix, tail_max: bool, m: int, x: float, iterations: int = 200):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def simplest_between(lo, hi):
+    """Smallest-denominator rational in the closed interval [lo, hi]."""
+    if hi < lo:
+        lo, hi = hi, lo
+    cl = math.ceil(lo)
+    if cl <= hi:
+        return Q(cl)
+    fl = math.floor(lo)
+    return fl + 1 / simplest_between(1 / (hi - fl), 1 / (lo - fl))
 
 
 def count_words_without_zero_run(m: int, k: int, n: int) -> int:

@@ -53,6 +53,15 @@ def test_unparsable_number_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_intersect_depth_below_one_exits_2(capsys, depth):
+    code, out, err = run_cli(
+        capsys, "intersect", "--m", "2", "--x", "1/2", "--y", "1/2", "--kmax", "1", "--depth", depth
+    )
+    assert code == 2 and out == ""
+    assert "depth must be >= 1" in err
+
+
 # Ten characters at most: '2^-' plus seven digits keeps the largest tol
 # denominator the parser builds near a megabyte.
 @settings(max_examples=300, deadline=None)

@@ -18,13 +18,13 @@ from cantor_toolkit import (
     eval_pi,
     eval_pi_bounds,
     refine,
-    simplest_between,
     solve_lambda,
 )
+from cantor_toolkit import exact_arith
 from cantor_toolkit._rat import Q
-from cantor_toolkit.exact_arith import _separate
+from cantor_toolkit.exact_arith import _separate, _sign
 
-from oracles import float_root
+from oracles import float_root, simplest_between
 
 TOL6 = Q(1, 10**6)
 
@@ -191,6 +191,84 @@ def test_code_order_reversal_general_pairs(m, c1, c2, xf):
     assert compare_brackets(b1, b2) is Ordering.LESS
 
 
+@st.composite
+def kernel_cases(draw):
+    m = draw(st.integers(2, 4))
+    prefix = tuple(draw(st.lists(st.integers(0, m - 1), max_size=12)))
+    c = Code(m, prefix, draw(st.sampled_from([Tail.ZERO, Tail.MAX])))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 64))
+        lam = Q(draw(st.integers(1, 2**k // m)), 2**k)
+    else:
+        lam = Q(
+            draw(st.fractions(Fraction(1, 10**6), Fraction(1, m), max_denominator=10**6))
+        )
+    if draw(st.booleans()):
+        x = eval_pi(c, lam)  # exercises the zero sign
+    else:
+        x = Q(draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6)))
+    return c, lam, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_sign_kernel_matches_fraction_evaluation(case):
+    c, lam, x = case
+    diff = eval_pi(c, lam) - x
+    expected = (diff > 0) - (diff < 0)
+    assert _sign(c, (lam.numerator, lam.denominator), x) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    codes(max_m=4, max_len=12),
+    rationals_01,
+    st.sampled_from([Q(1, 2**40), Q(1, 2**64), Q(1, 1000)]),
+)
+def test_solve_contains_float_root_within_tol(c, xf, tol):
+    x = Q(xf)
+    if c.is_zero_stream():
+        return
+    try:
+        b = solve_lambda(x, c, tol)
+    except NoRootError:
+        return
+    root = float_root(c.prefix, c.tail is Tail.MAX, c.m, float(x))
+    assert root is not None
+    assert b.lo - Q(1, 10**9) <= Q(root) <= b.hi + Q(1, 10**9)
+    assert b.width <= tol
+
+
+@pytest.fixture
+def cold_solves():
+    yield
+    # brackets solved from a patched seed differ from the usual ones
+    exact_arith._solve_cached.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "c, x",
+    [
+        (code(2, [1, 1]), Q(1, 2)),
+        (code(2, [1, 0], Tail.MAX), Q(1, 2)),
+        (code(3, [1, 2, 0], Tail.MAX), Q(2, 7)),
+        (code(4, [3, 0, 2, 1]), Q(5, 9)),
+    ],
+)
+def test_wrong_float_seed_still_certifies(monkeypatch, cold_solves, c, x):
+    m = c.m
+    true_root = float_root(c.prefix, c.tail is Tail.MAX, m, float(x))
+    seeds = [float(x / (m - 1 + x)), 1.0 / m, true_root - 0.05, true_root + 0.05]
+    for tol in (Q(1, 2**40), Q(1, 2**64), Q(1, 10**6)):
+        for seed in seeds:
+            monkeypatch.setattr(exact_arith, "_float_seed", lambda *args, seed=seed: seed)
+            exact_arith._solve_cached.cache_clear()
+            b = solve_lambda(x, c, tol)
+            assert eval_pi(b.code, b.lo) <= x <= eval_pi(b.code, b.hi)
+            assert b.width <= tol
+            assert b.lo - Q(1, 10**9) <= Q(true_root) <= b.hi + Q(1, 10**9)
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -237,13 +315,13 @@ def test_refine_shrinks_and_preserves_certificate():
         nb = refine(b)
         assert nb.lo >= b.lo and nb.hi <= b.hi
         if not nb.is_exact:
-            assert nb.width <= b.width * Q(2, 3)
+            assert nb.width == b.width / 2
         assert eval_pi(nb.code, nb.lo) <= x <= eval_pi(nb.code, nb.hi)
         b = nb
 
 
 # ---------------------------------------------------------------------------
-# mediant rounding
+# smallest-denominator oracle (samples points inside gaps)
 
 
 def test_simplest_between_basic():

@@ -20,9 +20,10 @@ from cantor_toolkit import (
     hull_of,
     is_admissible,
     membership,
-    simplest_between,
 )
 from cantor_toolkit._rat import Q
+
+from oracles import simplest_between
 
 TOL = Q(1, 2**40)
 xs = st.fractions(min_value=Fraction(1, 200), max_value=Fraction(199, 200), max_denominator=200)

@@ -264,3 +264,11 @@ def test_intersection_dim_formula_at_tau_100():
 
 def test_kmax_zero_or_negative_yields_empty():
     assert find_interleaved_pairs(Q(1, 2), Q(2, 5), 2, kmax=0) == []
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_interleave_depth_below_one_rejected(depth):
+    # checked before kmax, so even an empty search refuses the depth
+    for kmax in (0, 1):
+        with pytest.raises(DomainError, match="depth must be >= 1"):
+            find_interleaved_pairs(Q(1, 2), Q(1, 2), 2, kmax=kmax, depth=depth)
