@@ -43,9 +43,7 @@ from .exact_arith import (
     compare_bracket_values,
     compare_brackets,
     eval_pi,
-    eval_pi_bounds,
     refine,
-    refine_to,
     solve_lambda,
 )
 from .lambda_set import (

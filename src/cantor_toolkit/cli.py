@@ -178,6 +178,8 @@ def _cmd_intersect(args) -> int:
     x = _parse_point(args.x, "x")
     y = _parse_point(args.y, "y")
     tol = _parse_tol(args.tol)
+    if args.kmax < 0:
+        raise ConfigError("kmax must be >= 0")
     pairs = find_interleaved_pairs(x, y, args.m, args.kmax, args.depth, tol)
     reports = [intersection_report(p) for p in pairs]
     payload = output.interleave_payload(x, y, args.m, args.kmax, pairs, reports, args.digits)
@@ -241,9 +243,6 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except PrecisionExhaustedError as exc:

@@ -5,7 +5,6 @@ lower-bound formula.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import statistics
@@ -15,7 +14,7 @@ from typing import Optional
 from ._rat import Q, to_rational
 from .coding import GreedyExpansion
 from .errors import DomainError, EmptyWindowError
-from .exact_arith import Bracket, Code, Tail, resolve_tol, solve_lambda
+from .exact_arith import Bracket, Code, Tail, solve_lambda
 from .lambda_set import CoverLevel, cover, hull_of
 
 logger = logging.getLogger(__name__)
@@ -179,21 +178,16 @@ def _zero_run_counts(m: int, k: int, n: int) -> list[int]:
 # parameter roots of the raised-defect codes
 
 
-@functools.lru_cache(maxsize=4096)
-def _gamma_cached(x, m: int, j: int, tol) -> Bracket:
-    ge = GreedyExpansion(x, m)
-    n_j = ge.defect_index(j)
-    prefix = ge.prefix(n_j - 1) + (ge.digit(n_j) + 1,)
-    return solve_lambda(x, Code(m, prefix, Tail.MAX), tol)
-
-
 def gamma_j(x, m: int, j: int, tol=None) -> Bracket:
     """Parameter whose coding is the greedy prefix with the j-th defect
     digit raised, completed by the all-(m-1) tail; increases to 1/m in j."""
     if j < 1:
         raise DomainError("j must be >= 1")
     x = to_rational(x)
-    return _gamma_cached(x, m, j, resolve_tol(tol))
+    ge = GreedyExpansion(x, m)
+    n_j = ge.defect_index(j)
+    prefix = ge.prefix(n_j - 1) + (ge.digit(n_j) + 1,)
+    return solve_lambda(x, Code(m, prefix, Tail.MAX), tol)
 
 
 def dim_lower_formula(m: int, k: int, gamma: float) -> float:

@@ -11,7 +11,6 @@ Enumeration prunes the word tree instead of scanning all m^n words.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from ._rat import Q, to_rational
@@ -22,7 +21,6 @@ from .exact_arith import (
     Code,
     Ordering,
     Tail,
-    resolve_tol,
     separate_brackets,
     solve_lambda,
 )
@@ -155,9 +153,13 @@ def basic_interval(x, m: int, word, tol=None) -> BasicInterval:
     return interval_for_prefix(x, m, word, tol)
 
 
-# deep covers hold thousands of brackets, so keep this cache small
-@functools.lru_cache(maxsize=32)
-def _cover_cached(x, m: int, depth: int, tol) -> CoverLevel:
+def cover(x, m: int, depth: int, tol=None) -> CoverLevel:
+    """The depth-n cover of the parameter set: disjoint sorted intervals + gaps.
+
+    Rebuilt on each call from cached roots; callers that reuse a level keep
+    the returned CoverLevel.
+    """
+    x = to_rational(x)
     ge = GreedyExpansion(x, m)
     ell = ge.first_defect
     if depth < ell:
@@ -177,12 +179,6 @@ def _cover_cached(x, m: int, depth: int, tol) -> CoverLevel:
         gaps=tuple(gaps),
         hull=hull_of(x, m),
     )
-
-
-def cover(x, m: int, depth: int, tol=None) -> CoverLevel:
-    """The depth-n cover of the parameter set: disjoint sorted intervals + gaps."""
-    x = to_rational(x)
-    return _cover_cached(x, m, depth, resolve_tol(tol))
 
 
 def cover_sequence(x, m: int, depth: int, tol=None) -> list[CoverLevel]:

@@ -53,6 +53,19 @@ def test_unparsable_number_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thickness", "--m", "2", "--x", "1/2", "--kmax", "-1"),
+        ("intersect", "--m", "2", "--x", "1/2", "--y", "2/5", "--kmax", "-1", "--format", "json"),
+    ],
+)
+def test_negative_kmax_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "kmax must be >= 0" in err
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_intersect_depth_below_one_exits_2(capsys, depth):
     code, out, err = run_cli(

@@ -16,7 +16,6 @@ from cantor_toolkit import (
     compare_bracket_values,
     compare_brackets,
     eval_pi,
-    eval_pi_bounds,
     refine,
     solve_lambda,
 )
@@ -59,7 +58,7 @@ def test_eval_rejects_truncated_and_bad_lambda():
 
 
 def test_eval_bounds_bracket_truncated_code():
-    lo, hi = eval_pi_bounds(code(2, [1], Tail.TRUNCATED), Q(1, 3))
+    lo, hi = (eval_pi(c, Q(1, 3)) for c in code(2, [1], Tail.TRUNCATED).completions())
     assert lo == Q(1, 3)  # 1 0^inf
     assert hi == Q(1, 3) + Q(1, 9) / (1 - Q(1, 3))  # 1 1^inf
 
