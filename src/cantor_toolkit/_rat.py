@@ -1,34 +1,20 @@
 """Arbitrary-precision rational numbers.
 
-gmpy2.mpq is used when available; fractions.Fraction is the fallback.
-Both are exact, always in lowest terms, hashable, and interoperable, so
-everything downstream treats ``Q`` as an opaque exact rational constructor.
-Root solving tests signs in plain integer arithmetic and builds ``Q``
-values only for the brackets it returns, so its speed does not depend on
-the backend.
+``Q`` is ``fractions.Fraction``: exact, always in lowest terms and
+hashable.  Root solving tests signs in plain integer arithmetic and builds
+``Q`` values only for the brackets it returns.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Union
+from fractions import Fraction as Q
 
-try:
-    from gmpy2 import mpq as Q
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Q = Fraction
-    HAVE_GMPY2 = False
-
-RationalLike = Union[int, str, Fraction]
-
-ZERO = Q(0)
-ONE = Q(1)
+# Fraction is the only backend; the flag stays for records that name it.
+HAVE_GMPY2 = False
 
 
 def to_rational(value) -> "Q":
-    """Coerce ints, 'p/q' strings, Fractions and Q values to Q.
+    """Coerce ints, 'p/q' strings and Fractions to Q.
 
     Floats are rejected: they cannot name the exact rationals this package
     certifies against.
@@ -37,7 +23,7 @@ def to_rational(value) -> "Q":
         raise TypeError(
             "refusing float %r: pass an exact rational ('p/q' string, int or Fraction)" % (value,)
         )
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Q)):
         return Q(value)
     if isinstance(value, str):
         text = value.strip()
@@ -45,8 +31,6 @@ def to_rational(value) -> "Q":
             num, _, den = text.partition("/")
             return Q(int(num), int(den))
         return Q(int(text))
-    if type(value) is type(ZERO):
-        return value
     raise TypeError("cannot interpret %r as an exact rational" % (value,))
 
 

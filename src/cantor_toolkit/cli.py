@@ -15,7 +15,7 @@ import sys
 
 from . import output
 from ._rat import Q, dec_to_rational, to_rational
-from .coding import membership
+from .coding import DEFAULT_MAX_STEPS, membership
 from .dimension import local_dimension_scan
 from .errors import CantorToolkitError, DomainError, NoRootError, PrecisionExhaustedError
 from .exact_arith import Bracket, Code, Tail, solve_lambda
@@ -83,8 +83,11 @@ def _resolve_center(text: str, x: Q, m: int, tol) -> Bracket:
 
 def _write(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError("cannot write %s: %s" % (out_path, exc.strerror))
     else:
         sys.stdout.write(text)
 
@@ -134,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("membership", help="certified membership test for one parameter")
     _add_common(p)
     p.add_argument("--lambda", required=True, dest="lam", help="parameter as exact rational p/q")
-    p.add_argument("--max-steps", type=int, default=256, dest="max_steps")
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, dest="max_steps")
     p.add_argument("--format", choices=("json", "text"), default="text")
 
     return parser

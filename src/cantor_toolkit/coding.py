@@ -119,17 +119,12 @@ class GreedyExpansion:
         """Order of the code's stream against this greedy stream.
 
         Terminates because the greedy stream of an x in (0, 1) never ends
-        in a constant (m-1) tail, and its 0 tails are detected exactly.
+        in a constant (m-1) tail, and its 0 tails are detected exactly.  A
+        truncated code is ordered only when its prefix already differs from
+        the greedy digits; otherwise reading its tail raises DomainError.
         """
         if code.m != self.m:
             raise DomainError("alphabet mismatch")
-        if code.tail is Tail.TRUNCATED:
-            lo, hi = code.completions()
-            if self.compare_code(hi) is Ordering.LESS:
-                return Ordering.LESS
-            if self.compare_code(lo) is Ordering.GREATER:
-                return Ordering.GREATER
-            return Ordering.INCOMPARABLE
         i = 1
         while True:
             c = code.digit(i)
@@ -231,13 +226,7 @@ class MembershipResult:
         return acc
 
 
-def membership(
-    x,
-    lam,
-    m: int,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> MembershipResult:
+def membership(x, lam, m: int, max_steps: int = DEFAULT_MAX_STEPS) -> MembershipResult:
     """Certified membership of x in the self-similar set with parameter lam.
 
     Tracks exact remainders: a repeated remainder proves an eventually
@@ -273,7 +262,7 @@ def membership(
                 preperiod=tuple(digits[:start]),
                 period=tuple(digits[start:step]),
             )
-        if len(seen) < state_cap:
+        if len(seen) < DEFAULT_STATE_CAP:
             seen[y] = step
     return MembershipResult(Verdict.UNDETERMINED, tuple(digits), depth_reached=max_steps)
 

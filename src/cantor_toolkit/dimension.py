@@ -142,7 +142,7 @@ class ZeroRunCount:
     growth_rate: float
 
 
-def sft_count(m: int, k: int, n: int, growth_window: Optional[int] = None) -> ZeroRunCount:
+def sft_count(m: int, k: int, n: int) -> ZeroRunCount:
     """Exact number of length-n words over {0..m-1} with no k consecutive
     zeros, with a growth-rate estimate from a trailing window of counts.
 
@@ -151,7 +151,7 @@ def sft_count(m: int, k: int, n: int, growth_window: Optional[int] = None) -> Ze
     if m < 2 or k < 1 or n < 1:
         raise DomainError("need m >= 2, k >= 1, n >= 1")
     counts = _zero_run_counts(m, k, n)
-    r = growth_window if growth_window is not None else min(8, n - 1)
+    r = min(8, n - 1)
     if r >= 1 and counts[n - r] > 0:
         growth = (counts[n] / counts[n - r]) ** (1 / r)
     else:

@@ -425,9 +425,9 @@ def _separate(
     )
 
 
-def separate_brackets(a: Bracket, b: Bracket, max_steps: int = SEPARATION_CAP) -> tuple[Bracket, Bracket]:
+def separate_brackets(a: Bracket, b: Bracket) -> tuple[Bracket, Bracket]:
     """Refine until a.hi < b.lo, returning the refined pair (a must precede b)."""
-    order, a, b = _separate(a, b, max_steps, allow_touching=False)
+    order, a, b = _separate(a, b, SEPARATION_CAP, allow_touching=False)
     if order is not Ordering.LESS:
         raise DomainError("brackets are not in the expected order")
     return a, b

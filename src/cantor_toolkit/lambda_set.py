@@ -126,7 +126,7 @@ def _admissible_tree(ge: GreedyExpansion, n: int) -> list[tuple[tuple[int, ...],
     return level
 
 
-def interval_for_prefix(x, m: int, prefix, tol=None, allow_capped: bool = True) -> BasicInterval:
+def interval_for_prefix(x, m: int, prefix, tol=None) -> BasicInterval:
     """Basic interval with endpoint codes prefix+max-tail / prefix+zero-tail."""
     x = to_rational(x)
     prefix = _word_tuple(prefix)
@@ -134,8 +134,6 @@ def interval_for_prefix(x, m: int, prefix, tol=None, allow_capped: bool = True) 
     try:
         right = solve_lambda(x, Code(m, prefix, Tail.ZERO), tol)
     except NoRootError:
-        if not allow_capped:
-            raise
         # Greedy spine: codings starting with this prefix accumulate at the
         # hull maximum, reached by the greedy coding itself.
         cap = Q(1, m)

@@ -139,7 +139,7 @@ def _ek_hulls_cached(x, m: int, count: int, tol) -> tuple[EkSystem, ...]:
         head = ge.prefix(n_j - 1)
         for b in range(m - 1, ge.digit(n_j), -1):
             prefix = head + (b,)
-            hull = interval_for_prefix(x, m, prefix, tol, allow_capped=False)
+            hull = interval_for_prefix(x, m, prefix, tol)
             out.append(
                 EkSystem(x=x, m=m, k=len(out) + 1, j=j, b=b, n_j=n_j, prefix=prefix, hull=hull)
             )
@@ -173,7 +173,7 @@ def ek_basic_interval(system: EkSystem, word, tol=None) -> BasicInterval:
     for d in word:
         if not 0 <= d <= system.m - 1:
             raise DomainError("digit %r outside 0..%d" % (d, system.m - 1))
-    iv = interval_for_prefix(system.x, system.m, system.prefix + word, tol, allow_capped=False)
+    iv = interval_for_prefix(system.x, system.m, system.prefix + word, tol)
     return BasicInterval(word, iv.left, iv.right)
 
 
@@ -305,7 +305,7 @@ def _defining_prefix_length(iv: BasicInterval) -> int:
     return max(len(iv.left.code.canonical().prefix), len(iv.right.code.canonical().prefix))
 
 
-def certify_interval_width_bound(iv: BasicInterval, budget: int = CERTIFY_BUDGET) -> bool:
+def certify_interval_width_bound(iv: BasicInterval) -> bool:
     """Certify width >= (1 - p) q^(L+1) for a basic interval [p, q] whose
     defining codes have an L-digit prefix.
 
@@ -317,7 +317,7 @@ def certify_interval_width_bound(iv: BasicInterval, budget: int = CERTIFY_BUDGET
     if left.code.canonical() == Code(left.m, (), Tail.MAX):
         return True
     L = _defining_prefix_length(iv)
-    for _ in range(budget):
+    for _ in range(CERTIFY_BUDGET):
         lhs_lo = right.lo - left.hi
         rhs_hi = (1 - left.lo) * right.hi ** (L + 1)
         if lhs_lo >= rhs_hi:
@@ -331,7 +331,6 @@ def certify_gap_width_bound(
     right_iv: BasicInterval,
     nj_right: int,
     first_nonzero: int,
-    budget: int = CERTIFY_BUDGET,
 ) -> bool:
     """Certify gap <= q^(L-l+1) * m * p^(nj-l) / (1-p) for the gap between
     two adjacent basic intervals (q = left right endpoint, p = right left
@@ -346,7 +345,7 @@ def certify_gap_width_bound(
     m = right_iv.left.m
     L = _defining_prefix_length(left_iv)
     q_br, p_br = left_iv.right, right_iv.left
-    for _ in range(budget):
+    for _ in range(CERTIFY_BUDGET):
         lhs_hi = p_br.hi - q_br.lo
         rhs_lo = q_br.lo ** (L - ell + 1) * m * p_br.lo ** (nj_right - ell) / (1 - p_br.lo)
         if lhs_hi <= rhs_lo:
@@ -355,9 +354,7 @@ def certify_gap_width_bound(
     return False
 
 
-def certify_expansion_separation(
-    endpoints: list[Bracket], x, m: int, budget: int = CERTIFY_BUDGET
-) -> bool:
+def certify_expansion_separation(endpoints: list[Bracket], x, m: int) -> bool:
     """Certify the bi-Lipschitz lower bound on coding separation.
 
     For every pair of sampled endpoints lam1 < lam2 <= q (q a rational
@@ -372,7 +369,7 @@ def certify_expansion_separation(
         if canon in codes:
             continue
         codes.add(canon)
-        for _ in range(budget):
+        for _ in range(CERTIFY_BUDGET):
             if e.hi * m < 1:
                 break
             e = refine(e)
@@ -385,7 +382,7 @@ def certify_expansion_separation(
     values = [eval_pi(e.code, q) for e in eps]  # independent of refinement
     for (ia, a), (ib, b) in itertools.combinations(enumerate(eps), 2):
         lhs = abs(values[ia] - values[ib])
-        for _ in range(budget):
+        for _ in range(CERTIFY_BUDGET):
             if lhs > c * (b.hi - a.lo):
                 break
             a, b = refine(a), refine(b)

@@ -75,6 +75,16 @@ def test_intersect_depth_below_one_exits_2(capsys, depth):
     assert "depth must be >= 1" in err
 
 
+@pytest.mark.parametrize("target", ["missing/cover.svg", "."])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    out_path = str(tmp_path / target)
+    code, out, err = run_cli(
+        capsys, "cover", "--m", "2", "--x", "1/2", "--depth", "2", "--format", "svg", "--out", out_path
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write %s: " % out_path)
+
+
 # Ten characters at most: '2^-' plus seven digits keeps the largest tol
 # denominator the parser builds near a megabyte.
 @settings(max_examples=300, deadline=None)

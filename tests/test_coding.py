@@ -227,6 +227,14 @@ def test_lex_compare_examples():
     assert lex_compare(Code(2, (1, 0)), Code(2, (1,))) is Ordering.EQUAL
 
 
+def test_greedy_compare_code_truncated():
+    ge = GreedyExpansion(Q(1, 2), 2)  # greedy stream 1, 0, 0, ...
+    assert ge.compare_code(Code(2, (0,), Tail.TRUNCATED)) is Ordering.LESS
+    assert ge.compare_code(Code(2, (1, 1), Tail.TRUNCATED)) is Ordering.GREATER
+    with pytest.raises(DomainError):
+        ge.compare_code(Code(2, (1,), Tail.TRUNCATED))
+
+
 def test_lex_compare_truncated():
     a = Code(2, (1,), Tail.TRUNCATED)
     assert lex_compare(a, Code(2, (0,), Tail.MAX)) is Ordering.GREATER

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -7,6 +9,7 @@ from cantor_toolkit import (
     DomainError,
     GreedyExpansion,
     Ordering,
+    Tail,
     certify_expansion_separation,
     certify_gap_width_bound,
     certify_interval_width_bound,
@@ -59,6 +62,34 @@ def test_raised_digits_enumerate_all_choices():
     for s in systems:
         assert ge.digit(s.n_j) < s.b <= 2
         assert s.prefix == ge.prefix(s.n_j - 1) + (s.b,)
+
+
+def _seeded_points(seed, count):
+    rng = random.Random(seed)
+    points = set()
+    while len(points) < count:
+        den = rng.randint(2, 64)
+        points.add(Q(rng.randint(1, den - 1), den))
+    return sorted(points)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_subsystem_right_endpoints_are_solved_roots(m):
+    # A subsystem prefix raises one greedy digit, so its 0-tail series at
+    # 1/m exceeds x and the right endpoint is a solved root, never the
+    # capped 1/m bracket that the greedy spine gets.
+    cap = Q(1, m)
+    for x in _seeded_points(1000 + m, 50):
+        for s in ek_hulls(x, m, 6, TOL):
+            ivs = [s.hull] + [
+                ek_basic_interval(s, word, TOL)
+                for n in (1, 2)
+                for word in itertools.product(range(m), repeat=n)
+            ]
+            for iv in ivs:
+                assert iv.right.code.tail is Tail.ZERO, (x, m, s.k, iv.word)
+                for e in (iv.left, iv.right):
+                    assert not (e.lo == e.hi == cap), (x, m, s.k, iv.word)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +226,7 @@ def test_gap_bound_returns_false_on_false_claim():
     s = ek_system(Q(1, 2), 2, 2, TOL)
     left = ek_basic_interval(s, (1,), TOL)
     right = ek_basic_interval(s, (0,), TOL)
-    assert not certify_gap_width_bound(
-        left, right, s.n_j + 40, ge.first_nonzero, budget=40
-    )
+    assert not certify_gap_width_bound(left, right, s.n_j + 40, ge.first_nonzero)
 
 
 def test_gap_bound_rejects_out_of_hypothesis_defect():
