@@ -68,13 +68,18 @@ def box_dimension(
     segments = _clipped_segments(deepest, window)
     if not segments:
         raise EmptyWindowError("no cover interval meets window %s" % (window,))
+    segments.sort()
     levels = []
     for t in range(1, grid_depth + 1):
-        scale = 2**t
-        occupied: set[int] = set()
+        # boxes [floor(lo 2^t), floor(hi 2^t)] of the sorted segments, merged
+        occupied, last = 0, -1
         for lo, hi in segments:
-            occupied.update(range(math.floor(lo * scale), math.floor(hi * scale) + 1))
-        levels.append((Q(1, scale), len(occupied)))
+            first = max((lo.numerator << t) // lo.denominator, last + 1)
+            end = (hi.numerator << t) // hi.denominator
+            if end >= first:
+                occupied += end - first + 1
+                last = end
+        levels.append((Q(1, 2**t), occupied))
     slope = _fit_slope(levels, grid_depth)
     return DimensionEstimate(
         window=window, grid_levels=tuple(levels), slope=slope, theoretical=theoretical

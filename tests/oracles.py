@@ -1,8 +1,8 @@
 """Independent reference computations the tests check the package against.
 
 Everything here deliberately avoids the package's own algorithms: digits
-come from a direct floor formula, roots from plain float bisection, word
-counts from exhaustive enumeration, membership from a closed-interval
+come from a direct floor formula, roots from plain float bisection or
+exact Fraction bisection, word counts from exhaustive enumeration, membership from a closed-interval
 descent of the set construction, and sample points inside an interval from
 the smallest-denominator rational there.
 """
@@ -42,6 +42,54 @@ def float_root(prefix, tail_max: bool, m: int, x: float, iterations: int = 200):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def exact_series(prefix, tail_max: bool, m: int, lam) -> Q:
+    """The digit series at a rational `lam`, in Fractions."""
+    lam = Q(lam)
+    acc = (m - 1) * lam / (1 - lam) if tail_max else Q(0)
+    for d in reversed(prefix):
+        acc = (acc + d) * lam
+    return acc
+
+
+def dyadic_cell(code, x, tol):
+    """The (lo, hi) a solve of `code` at `x` must return, or None with no root.
+
+    Exact Fraction bisection over the hull [x/(m-1+x), 1/m] on the grid 2^-k,
+    2^-k the largest power of two <= tol, down to the one cell holding the
+    root (a root on a grid point is returned as (r, r)), cut back to the
+    hull.  A root at either hull end is returned exactly, and a hull no
+    wider than tol is returned whole.
+    """
+    m, x, tol = code.m, Q(x), Q(tol)
+    tail_max = code.tail.value == "max"
+
+    def f(lam):
+        return exact_series(code.prefix, tail_max, m, lam) - x
+
+    lo, hi = x / (m - 1 + x), Q(1, m)
+    if f(hi) < 0:
+        return None
+    for end in (hi, lo):
+        if f(end) == 0:
+            return end, end
+    if hi - lo <= tol:
+        return lo, hi
+    k = 0
+    while Q(1, 2**k) > tol:
+        k += 1
+    a, b = math.floor(lo * 2**k), math.ceil(hi * 2**k)
+    while b - a > 1:
+        mid = (a + b) // 2
+        v = f(Q(mid, 2**k))
+        if v == 0:
+            return Q(mid, 2**k), Q(mid, 2**k)
+        if v < 0:
+            a = mid
+        else:
+            b = mid
+    return max(Q(a, 2**k), lo), min(Q(b, 2**k), hi)
 
 
 def simplest_between(lo, hi):

@@ -113,6 +113,26 @@ def test_counts_monotone_and_slope_in_range():
     assert 0 <= est.slope <= 1
 
 
+@pytest.mark.parametrize(
+    "x, m, window",
+    [
+        (Q(1, 2), 2, (Q(1, 3), Q(1, 2))),
+        (Q(1, 2), 2, (Q(2, 5), Q(9, 20))),
+        (Q(2, 7), 3, (Q(1, 5), Q(1, 3))),
+    ],
+)
+def test_box_counts_match_set_of_occupied_boxes(x, m, window):
+    cv = cover(x, m, 7, TOL)
+    est = box_dimension([cv], window, 14)
+    for t, (size, count) in enumerate(est.grid_levels, start=1):
+        boxes = set()
+        for iv in cv.intervals:
+            lo, hi = max(iv.left.lo, window[0]), min(iv.right.hi, window[1])
+            if lo <= hi:
+                boxes.update(range(math.floor(lo * 2**t), math.floor(hi * 2**t) + 1))
+        assert (size, count) == (Q(1, 2**t), len(boxes))
+
+
 def test_degenerate_window_single_endpoint_slope_zero():
     cv = cover(Q(1, 2), 2, 6, TOL)
     eps = Q(1, 10**9)

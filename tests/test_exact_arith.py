@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantor_toolkit import (
@@ -15,6 +15,7 @@ from cantor_toolkit import (
     Tail,
     compare_bracket_values,
     compare_brackets,
+    cover,
     eval_pi,
     refine,
     solve_lambda,
@@ -23,7 +24,7 @@ from cantor_toolkit import exact_arith
 from cantor_toolkit._rat import Q
 from cantor_toolkit.exact_arith import _separate, _sign
 
-from oracles import float_root, simplest_between
+from oracles import dyadic_cell, exact_series, float_root, simplest_between
 
 TOL6 = Q(1, 10**6)
 
@@ -238,10 +239,45 @@ def test_solve_contains_float_root_within_tol(c, xf, tol):
     assert b.width <= tol
 
 
+@st.composite
+def cell_cases(draw):
+    m = draw(st.integers(2, 4))
+    prefix = tuple(draw(st.lists(st.integers(0, m - 1), max_size=12)))
+    tail_max = draw(st.booleans())
+    c = Code(m, prefix, Tail.MAX if tail_max else Tail.ZERO)
+    assume(not c.is_zero_stream())
+    where = draw(st.sampled_from(["any", "dyadic", "cap"]))
+    if where == "any":
+        x = Q(draw(rationals_01))
+    else:
+        # x = series(lam) puts the root on a 2^-20 grid point or at 1/m
+        if where == "dyadic":
+            lam = Q(draw(st.integers(1, 2**20 // m)), 2**20)
+        else:
+            lam = Q(1, m)
+        x = exact_series(prefix, tail_max, m, lam)
+        assume(0 < x < 1)
+    tol = draw(st.sampled_from([Q(1, 2**40), Q(1, 2**64), Q(1, 2**80), Q(1, 10**6)]))
+    return c, x, tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_cases())
+def test_solve_returns_the_exact_bisection_cell(case):
+    c, x, tol = case
+    expected = dyadic_cell(c, x, tol)
+    if expected is None:
+        with pytest.raises(NoRootError):
+            solve_lambda(x, c, tol)
+        return
+    b = solve_lambda(x, c, tol)
+    assert (b.lo, b.hi) == expected
+
+
 @pytest.fixture
 def cold_solves():
     yield
-    # brackets solved from a patched seed differ from the usual ones
+    # leave no bracket solved under a patched estimator in the cache
     exact_arith._solve_cached.cache_clear()
 
 
@@ -258,14 +294,85 @@ def test_wrong_float_seed_still_certifies(monkeypatch, cold_solves, c, x):
     m = c.m
     true_root = float_root(c.prefix, c.tail is Tail.MAX, m, float(x))
     seeds = [float(x / (m - 1 + x)), 1.0 / m, true_root - 0.05, true_root + 0.05]
+    # below the grid's lower end, above its upper end, and not finite
+    seeds += [-1.0, 1.0, math.nan, math.inf, -math.inf]
     for tol in (Q(1, 2**40), Q(1, 2**64), Q(1, 10**6)):
+        exact_arith._solve_cached.cache_clear()
+        usual = solve_lambda(x, c, tol)
         for seed in seeds:
-            monkeypatch.setattr(exact_arith, "_float_seed", lambda *args, seed=seed: seed)
+            # the hook estimates root * 2^k; seed it with the point `seed`
+            monkeypatch.setattr(
+                exact_arith, "_estimate_cell", lambda code, x, k, seed=seed: seed * 2**k
+            )
             exact_arith._solve_cached.cache_clear()
             b = solve_lambda(x, c, tol)
             assert eval_pi(b.code, b.lo) <= x <= eval_pi(b.code, b.hi)
             assert b.width <= tol
             assert b.lo - Q(1, 10**9) <= Q(true_root) <= b.hi + Q(1, 10**9)
+            # the grid cell is unique, so the estimate moves only the cost
+            assert (b.lo, b.hi) == (usual.lo, usual.hi)
+        monkeypatch.undo()
+
+
+@pytest.fixture
+def sign_tests(monkeypatch):
+    """Cold solves, with every call of the sign kernel counted."""
+    calls = [0]
+    kernel = exact_arith._sign
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(exact_arith, "_sign", counted)
+    exact_arith._solve_cached.cache_clear()
+    yield calls
+    exact_arith._solve_cached.cache_clear()
+
+
+def test_sign_tests_of_cold_covers_are_pinned(sign_tests):
+    cover(Q(1, 2), 2, 10, Q(1, 2**40))
+    assert exact_arith._solve_cached.cache_info().misses == 1024
+    assert sign_tests[0] == 3068
+    exact_arith._solve_cached.cache_clear()
+    sign_tests[0] = 0
+    cover(Q(1, 2), 2, 14)
+    assert exact_arith._solve_cached.cache_info().misses == 16384
+    assert sign_tests[0] == 49148  # 3.00 per solve
+
+
+def test_cold_solve_at_2_pow_minus_256_makes_at_most_four_sign_tests(sign_tests):
+    tol = Q(1, 2**256)
+    for iv in cover(Q(1, 2), 2, 6).intervals + cover(Q(2, 7), 3, 3).intervals:
+        for b in (iv.left, iv.right):
+            if b.code.tail is Tail.TRUNCATED:  # the capped end 1/m is not solved
+                continue
+            exact_arith._solve_cached.cache_clear()
+            before = sign_tests[0]
+            fine = solve_lambda(b.x, b.code, tol)
+            assert sign_tests[0] - before <= 4
+            assert fine.width <= tol and b.lo <= fine.lo <= fine.hi <= b.hi
+
+
+def test_cold_solve_with_a_root_never_evaluates_a_fraction(monkeypatch, cold_solves):
+    def no_eval(*args):
+        raise AssertionError("eval_pi called")
+
+    monkeypatch.setattr(exact_arith, "eval_pi", no_eval)
+    exact_arith._solve_cached.cache_clear()
+    for c, x in [
+        (code(2, [1, 1]), Q(1, 2)),
+        (code(2, [1]), Q(1, 2)),  # root at 1/m
+        (code(2, [], Tail.MAX), Q(1, 2)),  # root at the hull minimum
+        (code(3, [1, 2, 0], Tail.MAX), Q(2, 7)),
+    ]:
+        for tol in (Q(1, 2**40), Q(1, 2**64), Q(1, 4)):
+            solve_lambda(x, c, tol)
+
+
+def test_no_root_message_names_the_series_value_at_one_over_m():
+    with pytest.raises(NoRootError, match=r"^series of 01:zero reaches only 1/4 at 1/m, below x = 1/2$"):
+        solve_lambda(Q(1, 2), code(2, [0, 1]), TOL6)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,9 @@ CASES = {
     "readme_dimension_reduced.txt": (
         "dimension --m 2 --x 1/2 --at 1/m --deltas 1/8,1/16,1/32 --depth 4 --grid-depth 16"
     ),
+    "readme_dimension.txt": (
+        "dimension --m 2 --x 1/2 --at 1/m --deltas 1/8,1/16,1/32 --depth 14 --grid-depth 16"
+    ),
     "readme_membership.txt": "membership --m 2 --x 1/2 --lambda 2/5",
     "cover_m3.json": "cover --m 3 --x 2/7 --depth 4 --format json",
     "cover_tol40.csv": "cover --m 2 --x 1/2 --depth 3 --tol 2^-40 --format csv",
