@@ -23,6 +23,12 @@ from .lambda_set import cover, cover_sequence, is_admissible
 from .thickness import ek_hulls, find_interleaved_pairs, intersection_report, tau_estimate
 
 
+# Python's default limit on int <-> str conversion
+# (sys.int_info.default_max_str_digits); a rendered decimal carries its
+# fractional digits as one integer.
+MAX_DIGITS = 4300
+
+
 class ConfigError(Exception):
     pass
 
@@ -92,13 +98,16 @@ def _write(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _add_common(sub, *, needs_y=False):
+def _add_common(sub, *, needs_y=False, needs_tol=True):
     sub.add_argument("--m", type=int, required=True, help="alphabet size, >= 2")
     sub.add_argument("--x", required=True, help="point as exact rational p/q in (0,1)")
     if needs_y:
         sub.add_argument("--y", required=True, help="second point as exact rational p/q")
-    sub.add_argument("--tol", default="2^-64", help="bracket width target (2^-N, p/q or decimal)")
-    sub.add_argument("--digits", type=int, default=6, help="decimal places in rendered output")
+    if needs_tol:
+        sub.add_argument("--tol", default="2^-64", help="bracket width target (2^-N, p/q or decimal)")
+    sub.add_argument(
+        "--digits", type=int, default=6, help="decimal places in rendered output, 0..%d" % MAX_DIGITS
+    )
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -134,8 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-depth", type=int, default=14, dest="grid_depth")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
+    # membership decides in exact arithmetic and solves no root, so it takes no --tol
     p = sub.add_parser("membership", help="certified membership test for one parameter")
-    _add_common(p)
+    _add_common(p, needs_tol=False)
     p.add_argument("--lambda", required=True, dest="lam", help="parameter as exact rational p/q")
     p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, dest="max_steps")
     p.add_argument("--format", choices=("json", "text"), default="text")
@@ -242,6 +252,9 @@ def main(argv=None) -> int:
         return 2
     if args.digits < 0:
         print("error: digits must be >= 0", file=sys.stderr)
+        return 2
+    if args.digits > MAX_DIGITS:
+        print("error: digits must be <= %d" % MAX_DIGITS, file=sys.stderr)
         return 2
     try:
         return _HANDLERS[args.command](args)

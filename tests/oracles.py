@@ -16,11 +16,11 @@ from cantor_toolkit._rat import Q
 
 
 def greedy_digits_longdiv(x, m: int, n: int) -> tuple[int, ...]:
-    """Digit formula d_i = floor(x m^i) - m floor(x m^(i-1))."""
-    return tuple(
-        int(math.floor(Q(x) * m**i)) - m * int(math.floor(Q(x) * m ** (i - 1)))
-        for i in range(1, n + 1)
-    )
+    """Digit formula d_i = floor(x m^i) - m floor(x m^(i-1)), on x = p/q as
+    integers: floor(x m^i) = p m^i // q."""
+    x = Q(x)
+    p, q = x.numerator, x.denominator
+    return tuple(p * m**i // q - m * (p * m ** (i - 1) // q) for i in range(1, n + 1))
 
 
 def float_series(prefix, tail_max: bool, m: int, lam: float) -> float:

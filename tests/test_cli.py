@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 
 import jsonschema
@@ -147,6 +148,36 @@ def test_kmax_zero_empty_table_exit_0(capsys):
     )
     assert code == 0
     assert out.strip() == "k,tau_empirical,tau_analytic_lower,newhouse_lower,dim_lower"
+
+
+def test_membership_takes_no_tol(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["membership", "--m", "2", "--x", "1/2", "--lambda", "2/5", "--tol", "garbage"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol garbage" in capsys.readouterr().err
+
+
+DIGITS_ARGV = [
+    ("cover", "--m", "2", "--x", "1/2", "--depth", "2", "--tol", "2^-40", "--format", "json"),
+    ("cover", "--m", "2", "--x", "1/2", "--depth", "2", "--tol", "2^-40", "--format", "csv"),
+    ("thickness", "--m", "2", "--x", "1/2", "--kmax", "2", "--depth", "2"),
+    ("intersect", "--m", "2", "--x", "1/2", "--y", "2/5", "--kmax", "2", "--depth", "2", "--format", "json"),
+]
+DIGITS_IDS = ["cover-json", "cover-csv", "thickness", "intersect"]
+
+
+@pytest.mark.parametrize("argv", DIGITS_ARGV, ids=DIGITS_IDS)
+def test_digits_above_cap_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--digits", str(cli.MAX_DIGITS + 1))
+    assert code == 2 and out == ""
+    assert err == "error: digits must be <= 4300\n"
+
+
+@pytest.mark.parametrize("argv", DIGITS_ARGV, ids=DIGITS_IDS)
+def test_digits_at_cap_renders(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--digits", str(cli.MAX_DIGITS))
+    assert code == 0 and err == ""
+    assert re.search(r"\d\.\d{%d}(?!\d)" % cli.MAX_DIGITS, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,18 @@ def test_greedy_one_third_periodic():
 @given(xs, st.integers(2, 7), st.integers(1, 12))
 def test_greedy_matches_longdiv_oracle(x, m, n):
     assert greedy_expansion(x, m, n).prefix(n) == greedy_digits_longdiv(x, m, n)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_longdiv_oracle_matches_fraction_floor_formula(m):
+    points = {Fraction(p, q) for q in range(2, 40) for p in range(1, q)}
+    points |= {Fraction(12345, 2**40 + 1), Fraction(2**61 - 1, 2**62), Fraction(1, 3**25)}
+    for x in sorted(points):
+        expected = tuple(
+            math.floor(x * m**i) - m * math.floor(x * m ** (i - 1)) for i in range(1, 21)
+        )
+        for n in range(21):
+            assert greedy_digits_longdiv(x, m, n) == expected[:n]
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,0 +1,94 @@
+"""The package namespace: the names it has always exported, each loaded
+from its submodule on first use."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import cantor_toolkit
+
+# Every public name of the package, with the submodule that defines it, as
+# listed by dir(cantor_toolkit) when the package imported all of them eagerly.
+EXPORTED = {
+    "_rat": ["Q", "dec_str", "dec_to_rational", "rat_str", "to_rational"],
+    "coding": [
+        "GreedyExpansion", "MembershipResult", "Verdict", "greedy_expansion", "lex_compare",
+        "membership", "unique_coding",
+    ],
+    "dimension": [
+        "DimensionEstimate", "LocalDimensionPoint", "ZeroRunCount", "box_dimension",
+        "dim_lower_formula", "dim_lower_formula_bounds", "dimension_of_parameter", "gamma_j",
+        "local_dimension_scan", "sft_count",
+    ],
+    "errors": [
+        "CantorToolkitError", "DomainError", "EmptyWindowError", "HullViolationError",
+        "NoRootError", "NotAdmissibleError", "PrecisionExhaustedError",
+    ],
+    "exact_arith": [
+        "DEFAULT_TOL", "Bracket", "Code", "Ordering", "Tail", "compare_bracket_values",
+        "compare_brackets", "eval_pi", "refine", "solve_lambda",
+    ],
+    "lambda_set": [
+        "BasicInterval", "CoverLevel", "admissible_words", "basic_interval", "cover",
+        "cover_sequence", "hull_of", "is_admissible",
+    ],
+    "thickness": [
+        "EkSystem", "InterleavePair", "IntersectionReport", "ThetaEntry", "ThicknessReport",
+        "certify_expansion_separation", "certify_gap_width_bound", "certify_interval_width_bound",
+        "dim_lower_from_tau", "ek_basic_interval", "ek_hulls", "ek_system",
+        "find_interleaved_pairs", "intersection_report", "meets_thickness_threshold",
+        "reverify_pair", "size_ratio_bound", "tau_estimate", "theta_sequence",
+    ],
+}
+NAMES = sorted(name for names in EXPORTED.values() for name in names)
+
+
+def loaded_after(statement: str) -> list:
+    """The package's submodules a fresh interpreter holds after `statement`."""
+    script = (
+        "import json, sys\n%s\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cantor_toolkit.'))))"
+        % statement
+    )
+    src = os.path.dirname(os.path.dirname(cantor_toolkit.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_submodule():
+    assert loaded_after("import cantor_toolkit") == []
+
+
+def test_cover_loads_neither_thickness_nor_dimension():
+    loaded = loaded_after("import cantor_toolkit; cantor_toolkit.cover")
+    assert "cantor_toolkit.lambda_set" in loaded
+    assert "cantor_toolkit.thickness" not in loaded
+    assert "cantor_toolkit.dimension" not in loaded
+
+
+def test_every_name_is_its_submodule_attribute():
+    assert len(NAMES) == 66
+    for module, names in EXPORTED.items():
+        owner = importlib.import_module("cantor_toolkit." + module)
+        for name in names:
+            assert getattr(cantor_toolkit, name) is getattr(owner, name), name
+            assert name in vars(cantor_toolkit)  # cached after the first lookup
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from cantor_toolkit import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == NAMES
+    assert sorted(cantor_toolkit.__all__) == NAMES
+
+
+def test_dir_lists_every_name_and_nothing_else_resolves():
+    assert set(NAMES) <= set(dir(cantor_toolkit))
+    assert not hasattr(cantor_toolkit, "simplest_between")
