@@ -13,14 +13,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import output
 from ._rat import Q, dec_to_rational, to_rational
-from .coding import DEFAULT_MAX_STEPS, membership
-from .dimension import local_dimension_scan
 from .errors import CantorToolkitError, DomainError, NoRootError, PrecisionExhaustedError
-from .exact_arith import Bracket, Code, Tail, solve_lambda
-from .lambda_set import cover, cover_sequence, is_admissible
-from .thickness import ek_hulls, find_interleaved_pairs, intersection_report, tau_estimate
+
+# Each handler imports the modules it runs, so a command loads no analysis it
+# does not use.  Handlers call through module attributes (lambda_set.cover),
+# so a function replaced on its module is the one the command runs.
 
 
 # Python's default limit on int <-> str conversion
@@ -71,18 +69,21 @@ def _parse_tol(text: str) -> Q:
     return value
 
 
-def _resolve_center(text: str, x: Q, m: int, tol) -> Bracket:
+def _resolve_center(text: str, x: Q, m: int, tol):
+    from . import exact_arith, lambda_set
+
     if text.strip() == "1/m":
         cap = Q(1, m)
-        return Bracket(cap, cap, Code(m, (), Tail.TRUNCATED), x)
+        code = exact_arith.Code(m, (), exact_arith.Tail.TRUNCATED)
+        return exact_arith.Bracket(cap, cap, code, x)
     try:
-        code = Code.parse(text, m)
+        code = exact_arith.Code.parse(text, m)
     except (DomainError, ValueError):
         raise ConfigError("cannot parse %r as a digit code for m=%d" % (text, m))
-    if not is_admissible(x, m, code.prefix):
+    if not lambda_set.is_admissible(x, m, code.prefix):
         raise ConfigError("code %r is not admissible for x=%s" % (text, x))
     try:
-        return solve_lambda(x, code, tol)
+        return exact_arith.solve_lambda(x, code, tol)
     except NoRootError:
         raise ConfigError("code %r names no parameter in (0, 1/m] for x=%s" % (text, x))
 
@@ -98,16 +99,20 @@ def _write(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _add_common(sub, *, needs_y=False, needs_tol=True):
+def _add_common(sub, *, needs_y=False, needs_tol=True, needs_digits=True):
     sub.add_argument("--m", type=int, required=True, help="alphabet size, >= 2")
     sub.add_argument("--x", required=True, help="point as exact rational p/q in (0,1)")
     if needs_y:
         sub.add_argument("--y", required=True, help="second point as exact rational p/q")
     if needs_tol:
         sub.add_argument("--tol", default="2^-64", help="bracket width target (2^-N, p/q or decimal)")
-    sub.add_argument(
-        "--digits", type=int, default=6, help="decimal places in rendered output, 0..%d" % MAX_DIGITS
-    )
+    if needs_digits:
+        sub.add_argument(
+            "--digits",
+            type=int,
+            default=6,
+            help="decimal places in rendered output, 0..%d" % MAX_DIGITS,
+        )
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -143,24 +148,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-depth", type=int, default=14, dest="grid_depth")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
-    # membership decides in exact arithmetic and solves no root, so it takes no --tol
+    # membership decides in exact arithmetic, solves no root and renders no
+    # decimal, so it takes neither --tol nor --digits
     p = sub.add_parser("membership", help="certified membership test for one parameter")
-    _add_common(p, needs_tol=False)
+    _add_common(p, needs_tol=False, needs_digits=False)
     p.add_argument("--lambda", required=True, dest="lam", help="parameter as exact rational p/q")
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, dest="max_steps")
+    # None stands for coding.DEFAULT_MAX_STEPS, resolved once coding is loaded
+    p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
     p.add_argument("--format", choices=("json", "text"), default="text")
 
     return parser
 
 
 def _cmd_cover(args) -> int:
+    from . import lambda_set, output
+
     x = _parse_point(args.x, "x")
     tol = _parse_tol(args.tol)
     if args.format == "svg":
-        levels = cover_sequence(x, args.m, args.depth, tol)
+        levels = lambda_set.cover_sequence(x, args.m, args.depth, tol)
         _write(output.cover_svg(levels, args.digits), args.out)
         return 0
-    level = cover(x, args.m, args.depth, tol)
+    level = lambda_set.cover(x, args.m, args.depth, tol)
     if args.format == "json":
         _write(output.to_json(output.cover_payload(level, args.digits)), args.out)
     elif args.format == "csv":
@@ -171,12 +180,16 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_thickness(args) -> int:
+    from . import output, thickness
+
     x = _parse_point(args.x, "x")
     tol = _parse_tol(args.tol)
     if args.kmax < 0:
         raise ConfigError("kmax must be >= 0")
-    systems = ek_hulls(x, args.m, args.kmax, tol)
-    reports = [tau_estimate(x, args.m, k, args.depth, tol) for k in range(1, args.kmax + 1)]
+    systems = thickness.ek_hulls(x, args.m, args.kmax, tol)
+    reports = [
+        thickness.tau_estimate(x, args.m, k, args.depth, tol) for k in range(1, args.kmax + 1)
+    ]
     payload = output.thickness_payload(x, args.m, systems, reports, args.digits)
     if args.format == "json":
         _write(output.to_json(payload), args.out)
@@ -188,13 +201,15 @@ def _cmd_thickness(args) -> int:
 
 
 def _cmd_intersect(args) -> int:
+    from . import output, thickness
+
     x = _parse_point(args.x, "x")
     y = _parse_point(args.y, "y")
     tol = _parse_tol(args.tol)
     if args.kmax < 0:
         raise ConfigError("kmax must be >= 0")
-    pairs = find_interleaved_pairs(x, y, args.m, args.kmax, args.depth, tol)
-    reports = [intersection_report(p) for p in pairs]
+    pairs = thickness.find_interleaved_pairs(x, y, args.m, args.kmax, args.depth, tol)
+    reports = [thickness.intersection_report(p) for p in pairs]
     payload = output.interleave_payload(x, y, args.m, args.kmax, pairs, reports, args.digits)
     if args.format == "json":
         _write(output.to_json(payload), args.out)
@@ -204,13 +219,17 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
+    from . import dimension, output
+
     x = _parse_point(args.x, "x")
     tol = _parse_tol(args.tol)
     center = _resolve_center(args.at, x, args.m, tol)
     deltas = [_parse_rational(part, "deltas") for part in args.deltas.split(",") if part.strip()]
     if not deltas:
         raise ConfigError("need at least one delta")
-    scan = local_dimension_scan(x, args.m, center, deltas, args.depth, args.grid_depth, tol)
+    scan = dimension.local_dimension_scan(
+        x, args.m, center, deltas, args.depth, args.grid_depth, tol
+    )
     payload = output.dimension_payload(x, args.m, scan, args.digits)
     if args.format == "json":
         _write(output.to_json(payload), args.out)
@@ -222,11 +241,14 @@ def _cmd_dimension(args) -> int:
 
 
 def _cmd_membership(args) -> int:
+    from . import coding, output
+
     x = _parse_point(args.x, "x")
     lam = _parse_rational(args.lam, "lambda")
     if not (0 < lam and lam * args.m <= 1):
         raise ConfigError("lambda must lie in (0, 1/m]")
-    result = membership(x, lam, args.m, max_steps=args.max_steps)
+    max_steps = coding.DEFAULT_MAX_STEPS if args.max_steps is None else args.max_steps
+    result = coding.membership(x, lam, args.m, max_steps=max_steps)
     payload = output.membership_payload(x, lam, args.m, result)
     if args.format == "json":
         _write(output.to_json(payload), args.out)
@@ -250,12 +272,13 @@ def main(argv=None) -> int:
     if args.m < 2:
         print("error: m must be >= 2", file=sys.stderr)
         return 2
-    if args.digits < 0:
-        print("error: digits must be >= 0", file=sys.stderr)
-        return 2
-    if args.digits > MAX_DIGITS:
-        print("error: digits must be <= %d" % MAX_DIGITS, file=sys.stderr)
-        return 2
+    if "digits" in args:
+        if args.digits < 0:
+            print("error: digits must be >= 0", file=sys.stderr)
+            return 2
+        if args.digits > MAX_DIGITS:
+            print("error: digits must be <= %d" % MAX_DIGITS, file=sys.stderr)
+            return 2
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:

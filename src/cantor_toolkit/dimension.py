@@ -5,7 +5,6 @@ lower-bound formula.
 
 from __future__ import annotations
 
-import logging
 import math
 import statistics
 from dataclasses import dataclass
@@ -16,8 +15,6 @@ from .coding import GreedyExpansion
 from .errors import DomainError, EmptyWindowError
 from .exact_arith import Bracket, Code, Tail, solve_lambda
 from .lambda_set import CoverLevel, cover, hull_of
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,9 @@ def _fit_slope(levels, grid_depth: int) -> float:
     ys = [math.log(count) for _, count in keep]
     slope = statistics.linear_regression(xs, ys).slope
     if not 0 <= slope <= 1:
-        logger.warning("box-count slope %.4f clamped to [0, 1]", slope)
+        import logging  # only here: a scan that clamps nothing never loads it
+
+        logging.getLogger(__name__).warning("box-count slope %.4f clamped to [0, 1]", slope)
         slope = min(1.0, max(0.0, slope))
     return slope
 

@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ._rat import Q, dec_str, dec_to_rational, rat_str
 from .errors import DomainError
-from .coding import MembershipResult, Verdict
-from .dimension import LocalDimensionPoint
-from .exact_arith import Bracket
-from .lambda_set import CoverLevel
-from .thickness import EkSystem, InterleavePair, IntersectionReport, ThicknessReport
+
+if TYPE_CHECKING:  # annotations only: rendering one report loads no other analysis
+    from .coding import MembershipResult
+    from .dimension import LocalDimensionPoint
+    from .exact_arith import Bracket
+    from .lambda_set import CoverLevel
+    from .thickness import EkSystem, InterleavePair, IntersectionReport, ThicknessReport
 
 
 def _word_str(word) -> str:
@@ -365,6 +367,8 @@ def membership_payload(x, lam, m: int, result: MembershipResult) -> dict:
 
 
 def membership_text(payload: dict) -> str:
+    from .coding import Verdict
+
     lines = [
         "membership of x=%s in the set with parameter %s (m=%d): %s"
         % (payload["x"], payload["lambda"], payload["m"], payload["verdict"])

@@ -31,16 +31,20 @@ def float_series(prefix, tail_max: bool, m: int, lam: float) -> float:
 
 
 def float_root(prefix, tail_max: bool, m: int, x: float, iterations: int = 200):
-    """Plain float bisection for the parameter solving the digit series."""
+    """Plain float bisection for the parameter solving the digit series.
+
+    (lo, hi) is the loop's whole state, so a step that leaves it unchanged
+    is a fixed point: stopping there returns what all `iterations` steps would.
+    """
     lo, hi = 1e-12, 1.0 / m
     if float_series(prefix, tail_max, m, hi) < x - 1e-13:
         return None
     for _ in range(iterations):
         mid = (lo + hi) / 2
-        if float_series(prefix, tail_max, m, mid) < x:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if float_series(prefix, tail_max, m, mid) < x else (lo, mid)
+        if step == (lo, hi):
+            break
+        lo, hi = step
     return (lo + hi) / 2
 
 

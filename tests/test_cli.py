@@ -157,6 +157,13 @@ def test_membership_takes_no_tol(capsys):
     assert "unrecognized arguments: --tol garbage" in capsys.readouterr().err
 
 
+def test_membership_takes_no_digits(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["membership", "--m", "2", "--x", "1/2", "--lambda", "2/5", "--digits", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --digits 2" in capsys.readouterr().err
+
+
 DIGITS_ARGV = [
     ("cover", "--m", "2", "--x", "1/2", "--depth", "2", "--tol", "2^-40", "--format", "json"),
     ("cover", "--m", "2", "--x", "1/2", "--depth", "2", "--tol", "2^-40", "--format", "csv"),

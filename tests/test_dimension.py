@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -18,6 +19,7 @@ from cantor_toolkit import (
     sft_count,
     solve_lambda,
 )
+from cantor_toolkit import dimension
 from cantor_toolkit._rat import Q
 
 from oracles import count_words_without_zero_run
@@ -152,6 +154,16 @@ def test_window_near_max_denser_than_near_min():
     near_max = box_dimension([cv], (Q(1, 2) - Q(1, 16), Q(1, 2)), 12)
     near_min = box_dimension([cv], (Q(1, 3), Q(1, 3) + Q(1, 16)), 12)
     assert near_max.slope > near_min.slope
+
+
+def test_slope_above_one_is_clamped_with_a_warning(caplog):
+    # counts growing 4x per halving of the box: the fitted slope is 2
+    levels = [(Q(1, 2**t), 4**t) for t in range(1, 9)]
+    with caplog.at_level(logging.WARNING, logger="cantor_toolkit.dimension"):
+        assert dimension._fit_slope(levels, 8) == 1.0
+    [record] = caplog.records
+    assert (record.name, record.levelno) == ("cantor_toolkit.dimension", logging.WARNING)
+    assert record.getMessage() == "box-count slope 2.0000 clamped to [0, 1]"
 
 
 # ---------------------------------------------------------------------------
