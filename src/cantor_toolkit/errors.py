@@ -14,10 +14,10 @@ class NoRootError(CantorToolkitError):
 
 
 class PrecisionExhaustedError(CantorToolkitError):
-    """Bracket refinement hit its iteration cap before separating two values.
+    """A certified decision used up its refinement budget.
 
-    Signals pathological closeness that callers must surface rather than
-    resolve numerically.
+    Raised when two values, a positive width or a hull order could not be
+    certified; callers must surface it rather than resolve numerically.
     """
 
 

@@ -25,6 +25,11 @@ DEFAULT_TOL = Q(1, 2**64)
 #: Refinement steps allowed when separating two brackets before giving up.
 SEPARATION_CAP = 4096
 
+#: Tests of one certified inequality before `refine_until` gives up.  Deep
+#: subsystems need brackets far tighter than the solve tolerance (hull gaps
+#: shrink like lam^(2 n_j)), and each refinement step only halves a bracket.
+CERTIFY_BUDGET = 512
+
 
 class Ordering(enum.Enum):
     LESS = -1
@@ -404,6 +409,21 @@ def refine(bracket: Bracket) -> Bracket:
     if sign < 0:
         return Bracket(s, bracket.hi, bracket.code, bracket.x)
     return Bracket(bracket.lo, s, bracket.code, bracket.x)
+
+
+def refine_until(holds, *brackets):
+    """Halve every bracket in lockstep until ``holds(*brackets)`` is true.
+
+    Returns the refined brackets as a tuple, or None once `holds` has
+    failed CERTIFY_BUDGET times.  Each certified inequality of the
+    toolkit is such a `holds`: a rational test on the bracket ends.
+    """
+    for step in range(CERTIFY_BUDGET):
+        if step:
+            brackets = tuple(map(refine, brackets))
+        if holds(*brackets):
+            return brackets
+    return None
 
 
 # ---------------------------------------------------------------------------

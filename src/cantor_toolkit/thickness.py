@@ -27,18 +27,12 @@ from .exact_arith import (
     compare_bracket_values,
     compare_brackets,
     eval_pi,
-    refine,
+    refine_until,
     resolve_tol,
     separate_brackets,
     solve_lambda,
 )
 from .lambda_set import BasicInterval, interval_for_prefix
-
-#: Refinement rounds granted to each certified inequality before giving up.
-#: Deep subsystems need brackets far tighter than the solve tolerance (hull
-#: gaps shrink like lam^(2 n_j)), and each refinement step only shrinks a
-#: bracket by a constant factor.
-CERTIFY_BUDGET = 512
 
 
 @dataclass(frozen=True)
@@ -181,18 +175,26 @@ def ek_basic_interval(system: EkSystem, word, tol=None) -> BasicInterval:
 # certified widths and ratios
 
 
-def _widen_until_positive(iv: BasicInterval, budget: int = CERTIFY_BUDGET) -> BasicInterval:
-    left, right = iv.left, iv.right
-    for _ in range(budget):
-        if right.lo > left.hi:
-            return BasicInterval(iv.word, left, right)
-        left, right = refine(left), refine(right)
-    raise PrecisionExhaustedError("could not certify positive width of %s" % (iv.word,))
+def _neighbour_gap(
+    left_iv: BasicInterval, right_iv: BasicInterval
+) -> tuple[BasicInterval, BasicInterval, Bracket, Bracket, Q, Q]:
+    """Certify two neighbouring basic intervals and the gap between them.
 
-
-def _ratio_bounds(num_lo, num_hi, den_lo, den_hi) -> tuple[Q, Q]:
-    # positive denominators guaranteed by the callers' separation step
-    return num_lo / den_hi, num_hi / den_lo
+    Each interval's ends are refined until its width is certified positive,
+    then the gap is separated.  Returns the two refined intervals, the gap's
+    end brackets, and lo <= min(|left|, |right|) / |gap| <= hi.
+    """
+    ivs = []
+    for iv in (left_iv, right_iv):
+        ends = refine_until(lambda p, q: q.lo > p.hi, iv.left, iv.right)
+        if ends is None:
+            raise PrecisionExhaustedError("could not certify positive width of %s" % (iv.word,))
+        ivs.append(BasicInterval(iv.word, *ends))
+    left, right = ivs
+    gap_l, gap_r = separate_brackets(left.right, right.left)
+    ratio_lo = min(left.width_lo, right.width_lo) / (gap_r.hi - gap_l.lo)
+    ratio_hi = min(left.width_hi, right.width_hi) / (gap_r.lo - gap_l.hi)
+    return left, right, gap_l, gap_r, ratio_lo, ratio_hi
 
 
 def _sibling_pairs(m: int, n: int):
@@ -215,13 +217,9 @@ def _tau_report_cached(x, m: int, k: int, depth: int, tol) -> ThicknessReport:
     for n in range(1, depth + 1):
         level_min: Optional[Q] = None
         for w_plus, w in _sibling_pairs(m, n):
-            left = _widen_until_positive(ek_basic_interval(system, w_plus, tol))
-            right = _widen_until_positive(ek_basic_interval(system, w, tol))
-            gap_l, gap_r = separate_brackets(left.right, right.left)
-            gap_lo, gap_hi = gap_r.lo - gap_l.hi, gap_r.hi - gap_l.lo
-            r1 = _ratio_bounds(left.width_lo, left.width_hi, gap_lo, gap_hi)
-            r2 = _ratio_bounds(right.width_lo, right.width_hi, gap_lo, gap_hi)
-            pair_lo = min(r1[0], r2[0])
+            left, right, gap_l, gap_r, pair_lo, _ = _neighbour_gap(
+                ek_basic_interval(system, w_plus, tol), ek_basic_interval(system, w, tol)
+            )
             level_min = pair_lo if level_min is None else min(level_min, pair_lo)
             if applicable:
                 lam1, lam2 = left.left, gap_l
@@ -270,20 +268,14 @@ def theta_sequence(x, m: int, count: int, tol=None) -> list[ThetaEntry]:
     systems = ek_hulls(x, m, count, tol)
     out = []
     for a, b in zip(systems, systems[1:]):
-        ia = _widen_until_positive(a.hull)
-        ib = _widen_until_positive(b.hull)
-        gap_l, gap_r = separate_brackets(ia.right, ib.left)
-        gap_lo, gap_hi = gap_r.lo - gap_l.hi, gap_r.hi - gap_l.lo
-        r1 = _ratio_bounds(ia.width_lo, ia.width_hi, gap_lo, gap_hi)
-        r2 = _ratio_bounds(ib.width_lo, ib.width_hi, gap_lo, gap_hi)
-        size = _ratio_bounds(ib.width_lo, ib.width_hi, ia.width_lo, ia.width_hi)
+        ia, ib, _, _, theta_lo, theta_hi = _neighbour_gap(a.hull, b.hull)
         out.append(
             ThetaEntry(
                 k=a.k,
-                theta_lo=min(r1[0], r2[0]),
-                theta_hi=min(r1[1], r2[1]),
-                size_ratio_lo=size[0],
-                size_ratio_hi=size[1],
+                theta_lo=theta_lo,
+                theta_hi=theta_hi,
+                size_ratio_lo=ib.width_lo / ia.width_hi,
+                size_ratio_hi=ib.width_hi / ia.width_lo,
             )
         )
     return out
@@ -313,17 +305,14 @@ def certify_interval_width_bound(iv: BasicInterval) -> bool:
     minimum and the bound is an identity of the endpoint equations, so that
     case is certified symbolically.
     """
-    left, right = iv.left, iv.right
-    if left.code.canonical() == Code(left.m, (), Tail.MAX):
+    if iv.left.code.canonical() == Code(iv.left.m, (), Tail.MAX):
         return True
     L = _defining_prefix_length(iv)
-    for _ in range(CERTIFY_BUDGET):
-        lhs_lo = right.lo - left.hi
-        rhs_hi = (1 - left.lo) * right.hi ** (L + 1)
-        if lhs_lo >= rhs_hi:
-            return True
-        left, right = refine(left), refine(right)
-    return False
+
+    def holds(p, q):  # lower end of the width against upper end of the bound
+        return q.lo - p.hi >= (1 - p.lo) * q.hi ** (L + 1)
+
+    return refine_until(holds, iv.left, iv.right) is not None
 
 
 def certify_gap_width_bound(
@@ -344,14 +333,11 @@ def certify_gap_width_bound(
         raise DomainError("gap bound requires the defect position to exceed %d" % ell)
     m = right_iv.left.m
     L = _defining_prefix_length(left_iv)
-    q_br, p_br = left_iv.right, right_iv.left
-    for _ in range(CERTIFY_BUDGET):
-        lhs_hi = p_br.hi - q_br.lo
-        rhs_lo = q_br.lo ** (L - ell + 1) * m * p_br.lo ** (nj_right - ell) / (1 - p_br.lo)
-        if lhs_hi <= rhs_lo:
-            return True
-        q_br, p_br = refine(q_br), refine(p_br)
-    return False
+
+    def holds(q, p):  # upper end of the gap against lower end of the bound
+        return p.hi - q.lo <= q.lo ** (L - ell + 1) * m * p.lo ** (nj_right - ell) / (1 - p.lo)
+
+    return refine_until(holds, left_iv.right, right_iv.left) is not None
 
 
 def certify_expansion_separation(endpoints: list[Bracket], x, m: int) -> bool:
@@ -369,24 +355,17 @@ def certify_expansion_separation(endpoints: list[Bracket], x, m: int) -> bool:
         if canon in codes:
             continue
         codes.add(canon)
-        for _ in range(CERTIFY_BUDGET):
-            if e.hi * m < 1:
-                break
-            e = refine(e)
-        else:
+        below_cap = refine_until(lambda e: e.hi * m < 1, e)
+        if below_cap is None:
             return False
-        eps.append(e)
+        eps.append(below_cap[0])
     eps.sort(key=lambda e: (e.lo, e.hi))
     q = max(e.hi for e in eps)
     c = (1 - m * q) * x / ((m - 1) * q)
     values = [eval_pi(e.code, q) for e in eps]  # independent of refinement
     for (ia, a), (ib, b) in itertools.combinations(enumerate(eps), 2):
         lhs = abs(values[ia] - values[ib])
-        for _ in range(CERTIFY_BUDGET):
-            if lhs > c * (b.hi - a.lo):
-                break
-            a, b = refine(a), refine(b)
-        else:
+        if refine_until(lambda a, b: lhs > c * (b.hi - a.lo), a, b) is None:
             return False
     return True
 

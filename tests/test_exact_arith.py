@@ -9,20 +9,26 @@ from cantor_toolkit import (
     Bracket,
     Code,
     DomainError,
+    GreedyExpansion,
     NoRootError,
     Ordering,
     PrecisionExhaustedError,
     Tail,
+    certify_expansion_separation,
+    certify_gap_width_bound,
+    certify_interval_width_bound,
     compare_bracket_values,
     compare_brackets,
     cover,
+    ek_hulls,
     eval_pi,
     refine,
     solve_lambda,
+    theta_sequence,
 )
 from cantor_toolkit import exact_arith
 from cantor_toolkit._rat import Q
-from cantor_toolkit.exact_arith import _separate, _sign
+from cantor_toolkit.exact_arith import CERTIFY_BUDGET, _separate, _sign, refine_until
 
 from oracles import dyadic_cell, exact_series, float_root, simplest_between
 
@@ -341,6 +347,24 @@ def test_sign_tests_of_cold_covers_are_pinned(sign_tests):
     assert sign_tests[0] == 49148  # 3.00 per solve
 
 
+@pytest.mark.parametrize("x, m, expected", [(Q(1, 2), 2, 74), (Q(2, 5), 2, 701), (Q(2, 7), 3, 261)])
+def test_sign_tests_of_the_certified_inequality_suite_are_pinned(sign_tests, x, m, expected):
+    # every sign test here is a refinement step of a certified inequality
+    tol = Q(1, 2**40)
+    systems = ek_hulls(x, m, 20, tol)
+    ell = GreedyExpansion(x, m).first_nonzero
+    sign_tests[0] = 0
+    for s in systems:
+        assert certify_interval_width_bound(s.hull)
+    for a, b in zip(systems, systems[1:]):
+        if b.n_j > ell:
+            assert certify_gap_width_bound(a.hull, b.hull, b.n_j, ell)
+    endpoints = [e for s in systems for e in (s.hull.left, s.hull.right)]
+    assert certify_expansion_separation(endpoints, x, m)
+    theta_sequence(x, m, 20, tol)
+    assert sign_tests[0] == expected
+
+
 def test_cold_solve_at_2_pow_minus_256_makes_at_most_four_sign_tests(sign_tests):
     tol = Q(1, 2**256)
     for iv in cover(Q(1, 2), 2, 6).intervals + cover(Q(2, 7), 3, 3).intervals:
@@ -424,6 +448,52 @@ def test_refine_shrinks_and_preserves_certificate():
             assert nb.width == b.width / 2
         assert eval_pi(nb.code, nb.lo) <= x <= eval_pi(nb.code, nb.hi)
         b = nb
+
+
+@pytest.fixture
+def refines(monkeypatch):
+    """Calls of `exact_arith.refine`, the global that `refine_until` reads."""
+    calls = [0]
+
+    def counted(bracket):
+        calls[0] += 1
+        return refine(bracket)
+
+    monkeypatch.setattr(exact_arith, "refine", counted)
+    return calls
+
+
+def test_refine_until_returns_the_inputs_when_the_claim_holds_at_once(refines):
+    x = Q(1, 2)
+    a = solve_lambda(x, code(2, [1, 1]), Q(1, 4))
+    b = solve_lambda(x, code(2, [1]), Q(1, 4))
+    assert refine_until(lambda a, b: a.lo < b.hi, a, b) == (a, b)
+    assert refines[0] == 0
+
+
+def test_refine_until_gives_up_after_the_budget(refines):
+    tests = [0]
+
+    def never(a, b):
+        tests[0] += 1
+        return False
+
+    a = solve_lambda(Q(1, 2), code(2, [1, 1]), Q(1, 4))
+    b = solve_lambda(Q(1, 2), code(2, [1, 0, 1]), Q(1, 4))
+    assert refine_until(never, a, b) is None
+    assert tests[0] == CERTIFY_BUDGET
+    # both brackets are halved between tests, never after the last one
+    assert refines[0] == 2 * (CERTIFY_BUDGET - 1)
+
+
+def test_refine_until_moves_one_bracket_below_the_cap(refines):
+    # at a coarse tolerance the bracket reaches up to the hull maximum 1/m
+    b = solve_lambda(Q(1, 2), code(2, [1, 1]), Q(1, 2))
+    assert (b.lo, b.hi) == (Q(1, 3), Q(1, 2))
+    (e,) = refine_until(lambda e: e.hi * 2 < 1, b)
+    assert (e.lo, e.hi) == (Q(1, 3), Q(5, 12))
+    assert e.code == b.code and eval_pi(e.code, e.lo) <= Q(1, 2) <= eval_pi(e.code, e.hi)
+    assert refines[0] == 1
 
 
 # ---------------------------------------------------------------------------

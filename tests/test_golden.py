@@ -37,6 +37,12 @@ CASES = {
     "cover_tol40.csv": "cover --m 2 --x 1/2 --depth 3 --tol 2^-40 --format csv",
     "readme_thickness.txt": "thickness --m 2 --x 1/2 --kmax 6 --depth 3",
     "readme_intersect.txt": "intersect --m 2 --x 1/2 --y 2/5 --kmax 12",
+    # these two refine brackets (positive widths, sibling and cover gaps),
+    # so their bytes pin the refinement schedules
+    "thickness_x2_5_tol16.json": (
+        "thickness --m 2 --x 2/5 --kmax 6 --depth 3 --tol 2^-16 --format json"
+    ),
+    "cover_depth5_tol6.json": "cover --m 2 --x 1/2 --depth 5 --tol 2^-6 --format json",
 }
 
 
