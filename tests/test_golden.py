@@ -43,6 +43,19 @@ CASES = {
         "thickness --m 2 --x 2/5 --kmax 6 --depth 3 --tol 2^-16 --format json"
     ),
     "cover_depth5_tol6.json": "cover --m 2 --x 1/2 --depth 5 --tol 2^-6 --format json",
+    # one case for each (command, format) pair the README commands leave out
+    "cover_depth4.txt": "cover --m 2 --x 1/2 --depth 4 --format text",
+    "thickness_reduced.csv": "thickness --m 2 --x 1/2 --kmax 3 --depth 2 --format csv",
+    "intersect_reduced.json": "intersect --m 2 --x 1/2 --y 2/5 --kmax 3 --depth 2 --format json",
+    "dimension_reduced.json": (
+        "dimension --m 2 --x 1/2 --at 1/m --deltas 1/8,1/16,1/32 --depth 4 --grid-depth 16"
+        " --format json"
+    ),
+    "dimension_reduced.csv": (
+        "dimension --m 2 --x 1/2 --at 1/m --deltas 1/8,1/16,1/32 --depth 4 --grid-depth 16"
+        " --format csv"
+    ),
+    "membership.json": "membership --m 2 --x 1/2 --lambda 2/5 --format json",
 }
 
 
