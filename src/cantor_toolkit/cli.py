@@ -17,8 +17,10 @@ from ._rat import Q, dec_to_rational, to_rational
 from .errors import CantorToolkitError, DomainError, NoRootError, PrecisionExhaustedError
 
 # Each handler imports the modules it runs, so a command loads no analysis it
-# does not use.  Handlers call through module attributes (lambda_set.cover),
-# so a function replaced on its module is the one the command runs.
+# does not use, and returns the command's payload; main renders it.  Handlers
+# call through module attributes (lambda_set.cover) and main looks the
+# renderer up on output when it runs, so a function replaced on its module is
+# the one the command runs.
 
 
 # Python's default limit on int <-> str conversion
@@ -160,26 +162,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_cover(args) -> int:
+def _cmd_cover(args) -> dict | list[dict]:
     from . import lambda_set, output
 
     x = _parse_point(args.x, "x")
     tol = _parse_tol(args.tol)
+    # the one handler that reads --format: the diagram draws every level
     if args.format == "svg":
         levels = lambda_set.cover_sequence(x, args.m, args.depth, tol)
-        _write(output.cover_svg(levels, args.digits), args.out)
-        return 0
-    level = lambda_set.cover(x, args.m, args.depth, tol)
-    if args.format == "json":
-        _write(output.to_json(output.cover_payload(level, args.digits)), args.out)
-    elif args.format == "csv":
-        _write(output.cover_csv(level, args.digits), args.out)
-    else:
-        _write(output.cover_text(level, args.digits), args.out)
-    return 0
+        return [output.cover_payload(level, args.digits) for level in levels]
+    return output.cover_payload(lambda_set.cover(x, args.m, args.depth, tol), args.digits)
 
 
-def _cmd_thickness(args) -> int:
+def _cmd_thickness(args) -> dict:
     from . import output, thickness
 
     x = _parse_point(args.x, "x")
@@ -190,17 +185,10 @@ def _cmd_thickness(args) -> int:
     reports = [
         thickness.tau_estimate(x, args.m, k, args.depth, tol) for k in range(1, args.kmax + 1)
     ]
-    payload = output.thickness_payload(x, args.m, systems, reports, args.digits)
-    if args.format == "json":
-        _write(output.to_json(payload), args.out)
-    elif args.format == "csv":
-        _write(output.thickness_csv(payload), args.out)
-    else:
-        _write(output.thickness_text(payload, args.digits), args.out)
-    return 0
+    return output.thickness_payload(x, args.m, systems, reports, args.digits)
 
 
-def _cmd_intersect(args) -> int:
+def _cmd_intersect(args) -> dict:
     from . import output, thickness
 
     x = _parse_point(args.x, "x")
@@ -210,15 +198,10 @@ def _cmd_intersect(args) -> int:
         raise ConfigError("kmax must be >= 0")
     pairs = thickness.find_interleaved_pairs(x, y, args.m, args.kmax, args.depth, tol)
     reports = [thickness.intersection_report(p) for p in pairs]
-    payload = output.interleave_payload(x, y, args.m, args.kmax, pairs, reports, args.digits)
-    if args.format == "json":
-        _write(output.to_json(payload), args.out)
-    else:
-        _write(output.interleave_text(payload), args.out)
-    return 0
+    return output.interleave_payload(x, y, args.m, args.kmax, pairs, reports, args.digits)
 
 
-def _cmd_dimension(args) -> int:
+def _cmd_dimension(args) -> dict:
     from . import dimension, output
 
     x = _parse_point(args.x, "x")
@@ -230,17 +213,10 @@ def _cmd_dimension(args) -> int:
     scan = dimension.local_dimension_scan(
         x, args.m, center, deltas, args.depth, args.grid_depth, tol
     )
-    payload = output.dimension_payload(x, args.m, scan, args.digits)
-    if args.format == "json":
-        _write(output.to_json(payload), args.out)
-    elif args.format == "csv":
-        _write(output.dimension_csv(scan), args.out)
-    else:
-        _write(output.dimension_text(payload), args.out)
-    return 0
+    return output.dimension_payload(x, args.m, scan, args.digits)
 
 
-def _cmd_membership(args) -> int:
+def _cmd_membership(args) -> dict:
     from . import coding, output
 
     x = _parse_point(args.x, "x")
@@ -249,12 +225,7 @@ def _cmd_membership(args) -> int:
         raise ConfigError("lambda must lie in (0, 1/m]")
     max_steps = coding.DEFAULT_MAX_STEPS if args.max_steps is None else args.max_steps
     result = coding.membership(x, lam, args.m, max_steps=max_steps)
-    payload = output.membership_payload(x, lam, args.m, result)
-    if args.format == "json":
-        _write(output.to_json(payload), args.out)
-    else:
-        _write(output.membership_text(payload), args.out)
-    return 0
+    return output.membership_payload(x, lam, args.m, result)
 
 
 _HANDLERS = {
@@ -280,7 +251,14 @@ def main(argv=None) -> int:
             print("error: digits must be <= %d" % MAX_DIGITS, file=sys.stderr)
             return 2
     try:
-        return _HANDLERS[args.command](args)
+        payload = _HANDLERS[args.command](args)
+        from . import output
+
+        # output.to_json or output.<report>_<format>, looked up only now
+        report = "interleave" if args.command == "intersect" else args.command
+        render = "to_json" if args.format == "json" else "%s_%s" % (report, args.format)
+        _write(getattr(output, render)(payload), args.out)
+        return 0
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

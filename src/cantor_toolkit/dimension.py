@@ -56,8 +56,9 @@ def box_dimension(
     """Dyadic box-counting estimate of the deepest cover inside `window`."""
     if not cover_levels:
         raise DomainError("need at least one cover level")
-    if grid_depth < 2:
-        raise DomainError("grid_depth must be >= 2")
+    # the slope is fitted on ceil(grid_depth / 2) levels, and a line needs two
+    if grid_depth < 3:
+        raise DomainError("grid_depth must be >= 3")
     window = (to_rational(window[0]), to_rational(window[1]))
     if window[1] <= window[0]:
         raise DomainError("window must have positive width")
@@ -85,7 +86,8 @@ def box_dimension(
 
 def _fit_slope(levels, grid_depth: int) -> float:
     keep = levels[-math.ceil(grid_depth / 2):]
-    xs = [math.log(1 / float(size)) for size, _ in keep]
+    # log(2^t) from the integer: 1 / float(2^-t) overflows from t = 1024 on
+    xs = [math.log(size.denominator) for size, _ in keep]
     ys = [math.log(count) for _, count in keep]
     slope = statistics.linear_regression(xs, ys).slope
     if not 0 <= slope <= 1:

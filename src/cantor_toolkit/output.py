@@ -1,7 +1,11 @@
 """Report serialization: JSON payloads, CSV tables, and the cover diagram SVG.
 
-Exact rationals are rendered as "p/q" strings (lossless round-trip);
-approximations are decimal strings tagged by the top-level "digits" field.
+The *_payload builders are the only code that turns an analysis value into
+a string: exact rationals become "p/q" strings (lossless round-trip), and
+approximations become decimal strings tagged by the top-level "digits" field.
+Every format is rendered from that payload dict (JSON prints it; the CSV,
+text and SVG renderers take it and only lay out its strings), so a change to
+how a value is printed touches one builder per command.
 All outputs are byte-deterministic for a fixed configuration.
 """
 
@@ -58,30 +62,24 @@ def cover_payload(cover: CoverLevel, digits: int) -> dict:
     }
 
 
-def cover_csv(cover: CoverLevel, digits: int) -> str:
+def cover_csv(payload: dict) -> str:
     out = io.StringIO()
     out.write("word,lo,hi\n")
-    for iv in cover.intervals:
-        out.write(
-            "%s,%s,%s\n"
-            % (_word_str(iv.word), _bracket_mid_dec(iv.left, digits), _bracket_mid_dec(iv.right, digits))
-        )
+    for iv in payload["intervals"]:
+        out.write("%s,%s,%s\n" % (iv["word"], iv["lo"], iv["hi"]))
     return out.getvalue()
 
 
-def cover_text(cover: CoverLevel, digits: int) -> str:
+def cover_text(payload: dict) -> str:
     lines = [
-        "cover of x=%s, m=%d, depth %d" % (rat_str(cover.x), cover.m, cover.depth),
-        "hull [%s, %s]" % (rat_str(cover.hull[0]), rat_str(cover.hull[1])),
+        "cover of x=%s, m=%d, depth %d" % (payload["x"], payload["m"], payload["depth"]),
+        "hull [%s, %s]" % tuple(payload["hull"]),
     ]
-    for iv in cover.intervals:
-        lines.append(
-            "  %-16s [%s, %s]"
-            % (_word_str(iv.word), _bracket_mid_dec(iv.left, digits), _bracket_mid_dec(iv.right, digits))
-        )
+    for iv in payload["intervals"]:
+        lines.append("  %-16s [%s, %s]" % (iv["word"], iv["lo"], iv["hi"]))
     lines.append("gaps:")
-    for lo, hi in cover.gaps:
-        lines.append("  (%s, %s)" % (_bracket_mid_dec(lo, digits), _bracket_mid_dec(hi, digits)))
+    for lo, hi in payload["gaps"]:
+        lines.append("  (%s, %s)" % (lo, hi))
     return "\n".join(lines) + "\n"
 
 
@@ -91,23 +89,22 @@ SVG_ROW_HEIGHT = 28
 SVG_BAR_HEIGHT = 8
 
 
-def cover_svg(levels: list[CoverLevel], digits: int) -> str:
-    """Construction diagram: one hull bar plus one row of interval bars per
-    cover level, on a fixed 1000-unit hull width.
+def cover_svg(levels: list[dict]) -> str:
+    """Construction diagram of cover payloads: one hull bar plus one row of
+    interval bars per cover level, on a fixed 1000-unit hull width.
 
-    Bar positions come from the rendered decimal midpoints at the requested
-    precision so the diagram is pixel-stable across runs.
+    Bar positions come from the payloads' decimal interval ends, so the
+    diagram is pixel-stable across runs.
     """
     if not levels:
         raise DomainError("need at least one cover level")
-    levels = sorted(levels, key=lambda c: c.depth)
-    hull_lo, hull_hi = levels[0].hull
+    levels = sorted(levels, key=lambda c: c["depth"])
+    digits = levels[0]["digits"]
+    hull_lo, hull_hi = (Q(end) for end in levels[0]["hull"])
     # A rendering step narrower than the hull keeps the two rounded hull
     # endpoints apart, so the span below is positive.
     if Q(1, 10**digits) >= hull_hi - hull_lo:
-        raise DomainError(
-            "digits=%d too coarse for the hull [%s, %s]" % (digits, rat_str(hull_lo), rat_str(hull_hi))
-        )
+        raise DomainError("digits=%d too coarse for the hull [%s, %s]" % (digits, *levels[0]["hull"]))
     lo_dec = dec_to_rational(dec_str(hull_lo, digits))
     hi_dec = dec_to_rational(dec_str(hull_hi, digits))
     span = hi_dec - lo_dec
@@ -138,14 +135,9 @@ def cover_svg(levels: list[CoverLevel], digits: int) -> str:
     )
     for cov in levels:
         y += SVG_ROW_HEIGHT
-        for iv in cov.intervals:
-            bar(
-                xpos(_bracket_mid_dec(iv.left, digits)),
-                xpos(_bracket_mid_dec(iv.right, digits)),
-                y,
-                "#1f3f7f",
-            )
-        parts.append('<text x="%d" y="%d">n=%d</text>' % (4, y + SVG_BAR_HEIGHT, cov.depth))
+        for iv in cov["intervals"]:
+            bar(xpos(iv["lo"]), xpos(iv["hi"]), y, "#1f3f7f")
+        parts.append('<text x="%d" y="%d">n=%d</text>' % (4, y + SVG_BAR_HEIGHT, cov["depth"]))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -205,7 +197,8 @@ def thickness_csv(payload: dict) -> str:
     return out.getvalue()
 
 
-def thickness_text(payload: dict, digits: int) -> str:
+def thickness_text(payload: dict) -> str:
+    digits = payload["digits"]
     lines = ["thickness of subsystems of x=%s, m=%d" % (payload["x"], payload["m"])]
     lines.append("%4s %14s %22s %18s %10s" % ("k", "tau_empirical", "tau_analytic_lower", "newhouse_lower", "dim_lower"))
     for entry in payload["reports"]:
@@ -329,12 +322,12 @@ def dimension_payload(x, m: int, scan: list[LocalDimensionPoint], digits: int) -
     }
 
 
-def dimension_csv(scan: list[LocalDimensionPoint]) -> str:
+def dimension_csv(payload: dict) -> str:
     out = io.StringIO()
     out.write("delta,size,count\n")
-    for point in scan:
-        for size, count in point.estimate.grid_levels:
-            out.write("%s,%s,%d\n" % (rat_str(point.delta), rat_str(size), count))
+    for entry in payload["scan"]:
+        for size, count in entry["grid_levels"]:
+            out.write("%s,%s,%d\n" % (entry["delta"], size, count))
     return out.getvalue()
 
 

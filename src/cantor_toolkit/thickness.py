@@ -206,9 +206,9 @@ def _sibling_pairs(m: int, n: int):
 
 # Reuse: 13 of 30 report lookups in `intersect --kmax 12` hit.
 @functools.lru_cache(maxsize=4096)
-def _tau_report_cached(x, m: int, k: int, depth: int, tol) -> ThicknessReport:
-    system = ek_system(x, m, k, tol)
-    ge = GreedyExpansion(x, m)
+def _tau_report_cached(system: EkSystem, depth: int, tol) -> ThicknessReport:
+    m = system.m
+    ge = GreedyExpansion(system.x, m)
     ell = ge.first_nonzero
     per_level: list[tuple[int, Q]] = []
     analytic: Optional[Q] = None
@@ -251,7 +251,8 @@ def tau_estimate(x, m: int, k: int, depth: int = 3, tol=None) -> ThicknessReport
     """Finite-depth thickness report for the k-th subsystem of x."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    return _tau_report_cached(to_rational(x), m, k, depth, resolve_tol(tol))
+    tol = resolve_tol(tol)
+    return _tau_report_cached(ek_system(x, m, k, tol), depth, tol)
 
 
 def dim_lower_from_tau(tau: float) -> float:
@@ -460,8 +461,8 @@ def find_interleaved_pairs(
                 witness_y = _witness_inside(sy, sx, depth, tol, same)
                 if witness_x is None or witness_y is None:
                     continue
-            tau_x = _tau_report_cached(x, m, sx.k, depth, tol)
-            tau_y = _tau_report_cached(y, m, sy.k, depth, tol)
+            tau_x = _tau_report_cached(sx, depth, tol)
+            tau_y = _tau_report_cached(sy, depth, tol)
             tau_min = min(tau_x.tau_empirical, tau_y.tau_empirical)
             pairs.append(
                 InterleavePair(

@@ -77,5 +77,16 @@ def test_interleave_search_reuses_thickness_reports(monkeypatch):
     monkeypatch.setattr(thickness, "_tau_report_cached", spy)
     pairs = find_interleaved_pairs(X, Y, 2, 3, 2, tol)
     assert pairs
-    of_x = [missed for key, missed in lookups if key[0] == X]
+    of_x = [missed for key, missed in lookups if key[0].x == X]
     assert of_x and not any(of_x)
+
+
+def test_interleave_search_builds_one_hull_chain_per_point():
+    # reports are keyed on the search's own subsystems, so no report
+    # rebuilds a shorter chain for its k
+    tol = Q(1, 2**47)
+    chains = thickness._ek_hulls_cached.cache_info
+    misses = chains().misses
+    pairs = find_interleaved_pairs(X, Y, 2, 12, 1, tol)
+    assert pairs
+    assert chains().misses - misses == 2

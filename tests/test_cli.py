@@ -125,6 +125,21 @@ def test_inadmissible_code_for_dimension_exits_2(capsys):
     assert code == 2 and "not admissible" in err
 
 
+DIMENSION_ARGS = ("dimension", "--m", "2", "--x", "1/2", "--at", "1/m", "--deltas", "1/8", "--depth", "4")
+
+
+def test_grid_depth_two_exits_2(capsys):
+    code, out, err = run_cli(capsys, *DIMENSION_ARGS, "--grid-depth", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: grid_depth must be >= 3\n"
+
+
+def test_grid_depth_past_float_range_renders(capsys):
+    code, out, err = run_cli(capsys, *DIMENSION_ARGS, "--grid-depth", "1024", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["scan"][0]["grid_levels"][-1][0] == "1/%d" % 2**1024
+
+
 def test_float_x_rejected(capsys):
     code, _, err = run_cli(capsys, "cover", "--m", "2", "--x", "0.5e0", "--depth", "3")
     assert code == 2
@@ -236,6 +251,69 @@ def test_cover_svg_digits_too_coarse_for_hull_exits_2(capsys):
                              "--digits", "0", "--format", "svg")
     assert code == 2 and out == ""
     assert "too coarse" in err
+
+
+# ---------------------------------------------------------------------------
+# every format lays out the one payload
+
+
+def test_main_looks_renderers_up_on_output_when_it_runs(capsys, monkeypatch):
+    from cantor_toolkit import output
+
+    seen = []
+
+    def fake_csv(payload):
+        seen.append(payload)
+        return "replaced\n"
+
+    monkeypatch.setattr(output, "cover_csv", fake_csv)
+    code, out, err = run_cli(capsys, *COVER_ARGS, "--format", "csv")
+    assert (code, out, err) == (0, "replaced\n", "")
+    _, out, _ = run_cli(capsys, *COVER_ARGS, "--format", "json")
+    assert seen == [json.loads(out)]
+
+
+@pytest.mark.parametrize(
+    "x, m, depth, digits",
+    [("1/2", 2, 4, 6), ("2/7", 3, 3, 4), ("3/5", 2, 5, 9), ("1/3", 4, 2, 3)],
+)
+def test_cover_formats_print_the_json_payload_strings(capsys, x, m, depth, digits):
+    args = ("cover", "--m", str(m), "--x", x, "--digits", str(digits), "--tol", "2^-40")
+
+    def payload_at(n):
+        code, out, _ = run_cli(capsys, *args, "--depth", str(n), "--format", "json")
+        assert code == 0
+        return json.loads(out)
+
+    payload = payload_at(depth)
+    ends = [(iv["word"], iv["lo"], iv["hi"]) for iv in payload["intervals"]]
+
+    _, csv, _ = run_cli(capsys, *args, "--depth", str(depth), "--format", "csv")
+    assert csv.splitlines() == ["word,lo,hi"] + ["%s,%s,%s" % end for end in ends]
+
+    _, text, _ = run_cli(capsys, *args, "--depth", str(depth), "--format", "text")
+    lines = text.splitlines()
+    assert lines[1] == "hull [%s, %s]" % tuple(payload["hull"])
+    split = lines.index("gaps:")
+    printed = [re.fullmatch(r"  (\S+) +\[(\S+), (\S+)\]", line).groups() for line in lines[2:split]]
+    assert printed == ends
+    assert lines[split + 1:] == ["  (%s, %s)" % tuple(gap) for gap in payload["gaps"]]
+
+    _, svg, _ = run_cli(capsys, *args, "--depth", str(depth), "--format", "svg")
+    hull_lo, hull_hi = map(dec_to_rational, re.search(r"hull \[(\S+), (\S+)\]", svg).groups())
+    rows = svg.split("</text>")[1:-1]
+    assert len(rows) >= 1
+    for row in rows:
+        level = payload_at(int(re.search(r"n=(\d+)$", row).group(1)))
+        bars = re.findall(r'<rect x="([0-9.]+)" y="\d+" width="([0-9.]+)"', row)
+        expected = []
+        for iv in level["intervals"]:
+            x0, x1 = (
+                60 + float((dec_to_rational(iv[end]) - hull_lo) / (hull_hi - hull_lo)) * 1000
+                for end in ("lo", "hi")
+            )
+            expected.append(("%.2f" % x0, "%.2f" % max(x1 - x0, 0.5)))
+        assert bars == expected
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,21 @@ def test_window_near_max_denser_than_near_min():
     assert near_max.slope > near_min.slope
 
 
+def test_grid_deeper_than_float_exponent_range():
+    # 2^1100 overflows a float; the fit reads log 2^t off the integer
+    cv = cover(Q(1, 2), 2, 4, TOL)
+    est = box_dimension([cv], (Q(1, 3), Q(1, 2)), 1100)
+    assert est.grid_levels[-1][0] == Q(1, 2**1100)
+    assert abs(est.slope - 1) < 1e-9  # positive-width intervals fill their boxes
+
+
+def test_grid_depth_below_three_raises():
+    # ceil(2 / 2) = 1 fitted level cannot determine a slope
+    cv = cover(Q(1, 2), 2, 4, TOL)
+    with pytest.raises(DomainError, match="grid_depth must be >= 3"):
+        box_dimension([cv], (Q(1, 3), Q(1, 2)), 2)
+
+
 def test_slope_above_one_is_clamped_with_a_warning(caplog):
     # counts growing 4x per halving of the box: the fitted slope is 2
     levels = [(Q(1, 2**t), 4**t) for t in range(1, 9)]
