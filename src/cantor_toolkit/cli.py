@@ -11,6 +11,7 @@ irrational and only a code pins one down certifiably.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from ._rat import Q, dec_to_rational, to_rational
@@ -33,10 +34,17 @@ class ConfigError(Exception):
     pass
 
 
+# Optional sign, ASCII digits, optional "/" and ASCII digits.  int() alone also
+# takes underscores and non-ASCII digits, which the decimal path refuses.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_rational(text: str, name: str) -> Q:
     try:
         if "." in text:
             return dec_to_rational(text)
+        if not _RATIONAL.fullmatch(text.strip()):
+            raise ValueError(text)
         return to_rational(text)
     except (ValueError, TypeError, ZeroDivisionError):
         raise ConfigError("%s: cannot parse %r as an exact rational" % (name, text))
@@ -179,12 +187,12 @@ def _cmd_thickness(args) -> dict:
 
     x = _parse_point(args.x, "x")
     tol = _parse_tol(args.tol)
+    if args.depth < 1:
+        raise ConfigError("depth must be >= 1")
     if args.kmax < 0:
         raise ConfigError("kmax must be >= 0")
     systems = thickness.ek_hulls(x, args.m, args.kmax, tol)
-    reports = [
-        thickness.tau_estimate(x, args.m, k, args.depth, tol) for k in range(1, args.kmax + 1)
-    ]
+    reports = [thickness.tau_report(s, args.depth, tol) for s in systems]
     return output.thickness_payload(x, args.m, systems, reports, args.digits)
 
 

@@ -204,9 +204,11 @@ def _sibling_pairs(m: int, n: int):
             yield head + (d + 1,), head + (d,)
 
 
-# Reuse: 13 of 30 report lookups in `intersect --kmax 12` hit.
-@functools.lru_cache(maxsize=4096)
-def _tau_report_cached(system: EkSystem, depth: int, tol) -> ThicknessReport:
+def tau_report(system: EkSystem, depth: int = 3, tol=None) -> ThicknessReport:
+    """Finite-depth thickness report of one subsystem, built on every call."""
+    if depth < 1:
+        raise DomainError("depth must be >= 1")
+    tol = resolve_tol(tol)
     m = system.m
     ge = GreedyExpansion(system.x, m)
     ell = ge.first_nonzero
@@ -249,10 +251,7 @@ def _tau_report_cached(system: EkSystem, depth: int, tol) -> ThicknessReport:
 
 def tau_estimate(x, m: int, k: int, depth: int = 3, tol=None) -> ThicknessReport:
     """Finite-depth thickness report for the k-th subsystem of x."""
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    tol = resolve_tol(tol)
-    return _tau_report_cached(ek_system(x, m, k, tol), depth, tol)
+    return tau_report(ek_system(x, m, k, tol), depth, tol)
 
 
 def dim_lower_from_tau(tau: float) -> float:
@@ -380,9 +379,12 @@ def meets_thickness_threshold(tau: Q) -> bool:
     return tau > 1 and (tau - 1) ** 2 > 2
 
 
-def _certified_inside(
-    e: Bracket, hull: BasicInterval, same_point: bool, budget: int = 128
-) -> bool:
+# Refinements before a witness candidate that may coincide with a hull end is
+# given up; the search then tries the next endpoint.
+INSIDE_BUDGET = 128
+
+
+def _certified_inside(e: Bracket, hull: BasicInterval, same_point: bool) -> bool:
     """Certify hull.left <= e <= hull.right by bracket comparison.
 
     For endpoints of the same parameter set, code identity decides the
@@ -391,15 +393,15 @@ def _certified_inside(
     """
     try:
         if same_point:
-            lo = compare_brackets(e, hull.left, budget)
+            lo = compare_brackets(e, hull.left, INSIDE_BUDGET)
             if lo is Ordering.LESS:
                 return False
-            hi = compare_brackets(e, hull.right, budget)
+            hi = compare_brackets(e, hull.right, INSIDE_BUDGET)
             return hi in (Ordering.LESS, Ordering.EQUAL)
-        lo = compare_bracket_values(e, hull.left, budget)
+        lo = compare_bracket_values(e, hull.left, INSIDE_BUDGET)
         if lo is not Ordering.GREATER:
             return False
-        hi = compare_bracket_values(e, hull.right, budget)
+        hi = compare_bracket_values(e, hull.right, INSIDE_BUDGET)
         return hi is Ordering.LESS
     except PrecisionExhaustedError:
         return False
@@ -416,14 +418,19 @@ def _witness_inside(
     return None
 
 
-def _hulls_certified_disjoint(a: EkSystem, b: EkSystem, budget: int = 24) -> bool:
+# Refinements the disjointness pre-filter spends per order; hulls it leaves
+# undecided go on to the witness search, which decides them.
+DISJOINT_BUDGET = 24
+
+
+def _hulls_certified_disjoint(a: EkSystem, b: EkSystem) -> bool:
     try:
-        if compare_bracket_values(a.hull.right, b.hull.left, budget) is Ordering.LESS:
+        if compare_bracket_values(a.hull.right, b.hull.left, DISJOINT_BUDGET) is Ordering.LESS:
             return True
     except PrecisionExhaustedError:
         pass
     try:
-        if compare_bracket_values(b.hull.right, a.hull.left, budget) is Ordering.LESS:
+        if compare_bracket_values(b.hull.right, a.hull.left, DISJOINT_BUDGET) is Ordering.LESS:
             return True
     except PrecisionExhaustedError:
         pass
@@ -448,6 +455,8 @@ def find_interleaved_pairs(
     systems_x = ek_hulls(x, m, kmax, tol)
     systems_y = ek_hulls(y, m, kmax, tol)
     same = x == y
+    # each subsystem's report once per search, through the module global
+    report = functools.cache(lambda system: tau_report(system, depth, tol))
     pairs = []
     for sx in systems_x:
         for sy in systems_y:
@@ -461,9 +470,7 @@ def find_interleaved_pairs(
                 witness_y = _witness_inside(sy, sx, depth, tol, same)
                 if witness_x is None or witness_y is None:
                     continue
-            tau_x = _tau_report_cached(sx, depth, tol)
-            tau_y = _tau_report_cached(sy, depth, tol)
-            tau_min = min(tau_x.tau_empirical, tau_y.tau_empirical)
+            tau_min = min(report(sx).tau_empirical, report(sy).tau_empirical)
             pairs.append(
                 InterleavePair(
                     i=sx.k,

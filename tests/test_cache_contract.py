@@ -1,8 +1,12 @@
 """Which results are memoised, and the tol check every entry point shares.
 
-Root brackets, subsystem hull chains and thickness reports are cached per
-process; covers are rebuilt on each call from cached roots.
+Root brackets and subsystem hull chains are cached per process, each
+because a test below shows it reused; covers are rebuilt on each call from
+cached roots, and thickness reports are built per call, each subsystem's
+at most once within one interleave search.
 """
+
+import collections
 
 import pytest
 
@@ -15,6 +19,7 @@ from cantor_toolkit import (
     cover,
     cover_sequence,
     ek_hulls,
+    ek_system,
     find_interleaved_pairs,
     gamma_j,
     local_dimension_scan,
@@ -22,7 +27,7 @@ from cantor_toolkit import (
     tau_estimate,
     theta_sequence,
 )
-from cantor_toolkit import exact_arith, thickness
+from cantor_toolkit import cli, exact_arith, thickness
 from cantor_toolkit._rat import Q
 
 X, Y = Q(1, 2), Q(2, 5)
@@ -35,6 +40,7 @@ ENTRY_POINTS = {
     "basic_interval": lambda tol: basic_interval(X, 2, (1, 1), tol),
     "ek_hulls": lambda tol: ek_hulls(X, 2, 2, tol),
     "tau_estimate": lambda tol: tau_estimate(X, 2, 1, 1, tol),
+    "tau_report": lambda tol: thickness.tau_report(ek_system(X, 2, 1), 1, tol),
     "theta_sequence": lambda tol: theta_sequence(X, 2, 2, tol),
     "find_interleaved_pairs": lambda tol: find_interleaved_pairs(X, Y, 2, 2, 1, tol),
     "gamma_j": lambda tol: gamma_j(X, 2, 2, tol),
@@ -61,24 +67,20 @@ def test_cover_is_rebuilt_from_cached_roots():
     assert second == first
 
 
-def test_interleave_search_reuses_thickness_reports(monkeypatch):
+def test_interleave_search_builds_each_report_once(monkeypatch):
     tol = Q(1, 2**45)
-    for k in (1, 2, 3):
-        tau_estimate(X, 2, k, 2, tol)
-    real = thickness._tau_report_cached
-    lookups = []
+    real = thickness.tau_report
+    built = []
 
-    def spy(*key):
-        misses = real.cache_info().misses
-        report = real(*key)
-        lookups.append((key, real.cache_info().misses - misses))
-        return report
+    def spy(system, depth, tol):
+        built.append((system.x, system.k))
+        return real(system, depth, tol)
 
-    monkeypatch.setattr(thickness, "_tau_report_cached", spy)
+    monkeypatch.setattr(thickness, "tau_report", spy)
     pairs = find_interleaved_pairs(X, Y, 2, 3, 2, tol)
     assert pairs
-    of_x = [missed for key, missed in lookups if key[0].x == X]
-    assert of_x and not any(of_x)
+    assert len(built) == len(set(built))
+    assert set(built) == {(X, p.i) for p in pairs} | {(Y, p.j) for p in pairs}
 
 
 def test_interleave_search_builds_one_hull_chain_per_point():
@@ -90,3 +92,34 @@ def test_interleave_search_builds_one_hull_chain_per_point():
     pairs = find_interleaved_pairs(X, Y, 2, 12, 1, tol)
     assert pairs
     assert chains().misses - misses == 2
+
+
+@pytest.mark.parametrize(
+    "argv, chains, reports, sign_tests",
+    [
+        ("thickness --m 2 --x 1/2 --kmax 6 --depth 3", 1, 6, 286),
+        ("intersect --m 2 --x 1/2 --y 2/5 --kmax 12", 2, 17, 6567),
+    ],
+    ids=["thickness", "intersect"],
+)
+def test_readme_command_builds_one_hull_chain_per_point(
+    argv, chains, reports, sign_tests, monkeypatch, capsys
+):
+    # cold roots and chains, so the sign tests are the command's whole work
+    exact_arith._solve_cached.cache_clear()
+    thickness._ek_hulls_cached.cache_clear()
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    for module, name in ((exact_arith, "_sign"), (thickness, "tau_report")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().err == ""
+    assert thickness._ek_hulls_cached.cache_info().misses == chains
+    assert calls == {"tau_report": reports, "_sign": sign_tests}

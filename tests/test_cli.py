@@ -76,6 +76,40 @@ def test_intersect_depth_below_one_exits_2(capsys, depth):
     assert "depth must be >= 1" in err
 
 
+@pytest.mark.parametrize("kmax", ["0", "2"])
+def test_thickness_depth_below_one_exits_2(capsys, kmax):
+    # refused before kmax is read, as intersect refuses it, so an empty table
+    # does not hide the bad depth
+    code, out, err = run_cli(
+        capsys, "thickness", "--m", "2", "--x", "1/2", "--kmax", kmax, "--depth", "0"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: depth must be >= 1\n"
+
+
+RATIONAL_OPTIONS = {
+    "x": "cover --m 2 --x {} --depth 2",
+    "y": "intersect --m 2 --x 1/2 --y {} --kmax 1",
+    "lambda": "membership --m 2 --x 1/2 --lambda {}",
+    "deltas": "dimension --m 2 --x 1/2 --at 1/m --deltas 1/8,{} --depth 4 --grid-depth 6",
+    "tol": "cover --m 2 --x 1/2 --depth 2 --tol {}",
+}
+
+
+# int() also reads underscores, non-ASCII digits and a signed denominator;
+# the decimal path and --tol 2^-N refuse them, so p/q refuses them too.
+@pytest.mark.parametrize(
+    "text",
+    ["1_0/3_0", "\u0661/\u0663", "1/+3", "\uff11\uff10"],
+    ids=["underscores", "arabic_indic", "signed_denominator", "fullwidth"],
+)
+@pytest.mark.parametrize("name", sorted(RATIONAL_OPTIONS))
+def test_rational_option_takes_only_ascii_digits(capsys, name, text):
+    code, out, err = run_cli(capsys, *RATIONAL_OPTIONS[name].format(text).split())
+    assert code == 2 and out == ""
+    assert err == "error: %s: cannot parse %r as an exact rational\n" % (name, text)
+
+
 @pytest.mark.parametrize("target", ["missing/cover.svg", "."])
 def test_unwritable_out_exits_2(tmp_path, capsys, target):
     out_path = str(tmp_path / target)

@@ -25,6 +25,7 @@ from cantor_toolkit import (
     tau_estimate,
     theta_sequence,
 )
+from cantor_toolkit import thickness
 from cantor_toolkit._rat import Q
 
 from oracles import float_root
@@ -102,7 +103,7 @@ def test_omitted_tol_shares_cache_entries_with_default_tol():
     explicit = ek_hulls(x, 2, 3, DEFAULT_TOL)
     assert len(omitted) == 3
     assert all(a is b for a, b in zip(omitted, explicit))
-    assert tau_estimate(x, 2, 1, 1) is tau_estimate(x, 2, 1, 1, DEFAULT_TOL)
+    assert tau_estimate(x, 2, 1, 1) == tau_estimate(x, 2, 1, 1, DEFAULT_TOL)
 
 
 def test_empty_word_is_hull():
@@ -301,3 +302,9 @@ def test_interleave_depth_below_one_rejected(depth):
     for kmax in (0, 1):
         with pytest.raises(DomainError, match="depth must be >= 1"):
             find_interleaved_pairs(Q(1, 2), Q(1, 2), 2, kmax=kmax, depth=depth)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_tau_report_depth_below_one_rejected(depth):
+    with pytest.raises(DomainError, match="depth must be >= 1"):
+        thickness.tau_report(ek_system(Q(1, 2), 2, 1, TOL), depth, TOL)
