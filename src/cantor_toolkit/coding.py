@@ -75,11 +75,6 @@ class GreedyExpansion:
         self._extend_to(n)
         return tuple(self._digits[:n])
 
-    def terminates_by(self, n: int) -> bool:
-        """True when the stream is exactly 0 from position n+1 on."""
-        self._extend_to(n)
-        return self._zero_from is not None and self._zero_from <= n + 1
-
     # -- derived indices --------------------------------------------------
 
     @property
@@ -112,28 +107,6 @@ class GreedyExpansion:
 
     def defect_indices(self, count: int) -> tuple[int, ...]:
         return tuple(self.defect_index(j) for j in range(1, count + 1))
-
-    # -- comparisons ------------------------------------------------------
-
-    def compare_code(self, code: Code) -> Ordering:
-        """Order of the code's stream against this greedy stream.
-
-        Terminates because the greedy stream of an x in (0, 1) never ends
-        in a constant (m-1) tail, and its 0 tails are detected exactly.  A
-        truncated code is ordered only when its prefix already differs from
-        the greedy digits; otherwise reading its tail raises DomainError.
-        """
-        if code.m != self.m:
-            raise DomainError("alphabet mismatch")
-        i = 1
-        while True:
-            c = code.digit(i)
-            g = self.digit(i)
-            if c != g:
-                return Ordering.GREATER if c > g else Ordering.LESS
-            if i >= len(code.prefix) and code.tail is Tail.ZERO and self.terminates_by(i):
-                return Ordering.EQUAL
-            i += 1
 
 
 def greedy_expansion(x, m: int, n: int) -> GreedyExpansion:

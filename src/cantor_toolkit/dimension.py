@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional
 
 from ._rat import Q, to_rational
 from .coding import GreedyExpansion
@@ -29,7 +28,6 @@ class DimensionEstimate:
     window: tuple[Q, Q]
     grid_levels: tuple[tuple[Q, int], ...]
     slope: float
-    theoretical: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -50,20 +48,15 @@ def _clipped_segments(cover: CoverLevel, window) -> list[tuple[Q, Q]]:
     return segments
 
 
-def box_dimension(
-    cover_levels: list[CoverLevel], window, grid_depth: int, theoretical: Optional[float] = None
-) -> DimensionEstimate:
-    """Dyadic box-counting estimate of the deepest cover inside `window`."""
-    if not cover_levels:
-        raise DomainError("need at least one cover level")
+def box_dimension(cover_level: CoverLevel, window, grid_depth: int) -> DimensionEstimate:
+    """Dyadic box-counting estimate of one cover level inside `window`."""
     # the slope is fitted on ceil(grid_depth / 2) levels, and a line needs two
     if grid_depth < 3:
         raise DomainError("grid_depth must be >= 3")
     window = (to_rational(window[0]), to_rational(window[1]))
     if window[1] <= window[0]:
         raise DomainError("window must have positive width")
-    deepest = max(cover_levels, key=lambda c: c.depth)
-    segments = _clipped_segments(deepest, window)
+    segments = _clipped_segments(cover_level, window)
     if not segments:
         raise EmptyWindowError("no cover interval meets window %s" % (window,))
     segments.sort()
@@ -79,9 +72,7 @@ def box_dimension(
                 last = end
         levels.append((Q(1, 2**t), occupied))
     slope = _fit_slope(levels, grid_depth)
-    return DimensionEstimate(
-        window=window, grid_levels=tuple(levels), slope=slope, theoretical=theoretical
-    )
+    return DimensionEstimate(window=window, grid_levels=tuple(levels), slope=slope)
 
 
 def _fit_slope(levels, grid_depth: int) -> float:
@@ -128,9 +119,7 @@ def local_dimension_scan(
         delta = to_rational(delta)
         if delta <= 0:
             raise DomainError("delta must be positive")
-        estimate = box_dimension(
-            [deepest], (center - delta, center + delta), grid_depth, theoretical
-        )
+        estimate = box_dimension(deepest, (center - delta, center + delta), grid_depth)
         out.append(LocalDimensionPoint(delta=delta, estimate=estimate, theoretical=theoretical))
     return out
 

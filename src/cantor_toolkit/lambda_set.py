@@ -3,10 +3,12 @@ intervals and depth-n covers.
 
 The parameter set of a point x is a Cantor set inside the hull
 [x/(m-1+x), 1/m].  Codings of its members are exactly the digit streams
-lexicographically >= the greedy stream of x, so a length-n word is
-admissible iff its largest completion reaches that region; the associated
-basic interval collects the parameters whose coding starts with the word.
-Enumeration prunes the word tree instead of scanning all m^n words.
+lexicographically >= the greedy stream of x.  That stream never ends in a
+constant (m-1) tail, so a length-n word is admissible iff n reaches the
+first defect and the word, as a tuple, is >= the greedy n-prefix; the
+associated basic interval collects the parameters whose coding starts with
+the word.  Enumeration grows those tuples level by level instead of
+scanning all m^n words.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .errors import DomainError, NoRootError, NotAdmissibleError
 from .exact_arith import (
     Bracket,
     Code,
-    Ordering,
     Tail,
     separate_brackets,
     solve_lambda,
@@ -79,15 +80,12 @@ def _word_tuple(word) -> tuple[int, ...]:
 
 
 def is_admissible(x, m: int, word) -> bool:
-    """A word can begin a coding iff its max completion reaches the greedy
-    stream; words shorter than the first defect are excluded as degenerate
+    """A word can begin a coding iff it is >= the greedy prefix of its
+    length; words shorter than the first defect are excluded as degenerate
     (their interval is the whole hull)."""
-    word = _word_tuple(word)
     ge = GreedyExpansion(x, m)
-    if len(word) < ge.first_defect:
-        return False
-    order = ge.compare_code(Code(m, word, Tail.MAX))
-    return order in (Ordering.GREATER, Ordering.EQUAL)
+    word = Code(m, _word_tuple(word)).prefix  # validates the digits
+    return len(word) >= ge.first_defect and word >= ge.prefix(len(word))
 
 
 def admissible_words(x, m: int, n: int) -> list[tuple[int, ...]]:
@@ -95,34 +93,22 @@ def admissible_words(x, m: int, n: int) -> list[tuple[int, ...]]:
     if n < 1:
         raise DomainError("n must be >= 1")
     ge = GreedyExpansion(x, m)
-    ell = ge.first_defect
-    if n < ell:
-        return []
-    return [w for w, _ in _admissible_tree(ge, n)]
+    return _admissible(ge, n) if n >= ge.first_defect else []
 
 
-def _admissible_tree(ge: GreedyExpansion, n: int) -> list[tuple[tuple[int, ...], bool]]:
-    """(word, on_greedy_spine) pairs at depth n, ascending, by tree pruning.
+def _admissible(ge: GreedyExpansion, n: int) -> list[tuple[int, ...]]:
+    """The length-n words >= the greedy n-prefix, ascending.
 
-    Every admissible word of length n-1 has admissible children: all m
-    digits once the word is strictly above the greedy prefix, and digits
-    >= the next greedy digit on the spine itself.
+    The first word of each level is the greedy prefix itself; only its
+    children are cut below the next greedy digit, every other word keeps
+    all m.
     """
     m = ge.m
-    ell = ge.first_defect
-    head = tuple(m - 1 for _ in range(ell - 1))
-    g = ge.digit(ell)
-    level = [(head + (d,), d == g) for d in range(g, m)]
-    for depth in range(ell + 1, n + 1):
-        g = ge.digit(depth)
-        nxt = []
-        for word, spine in level:
-            if spine:
-                nxt.extend((word + (d,), d == g) for d in range(g, m))
-            else:
-                nxt.extend((word + (d,), False) for d in range(m))
-        nxt.sort(key=lambda item: item[0])
-        level = nxt
+    level = [()]
+    for i in range(1, n + 1):
+        spine, rest = level[0], level[1:]
+        level = [spine + (d,) for d in range(ge.digit(i), m)]
+        level += [w + (d,) for w in rest for d in range(m)]
     return level
 
 
@@ -164,10 +150,8 @@ def cover(x, m: int, depth: int, tol=None) -> CoverLevel:
         raise DomainError(
             "cover depth %d is below the first defect level %d" % (depth, ell)
         )
-    words = [w for w, _ in _admissible_tree(ge, depth)]
     # ascending parameter order is descending word order
-    words.reverse()
-    intervals = [interval_for_prefix(x, m, w, tol) for w in words]
+    intervals = [interval_for_prefix(x, m, w, tol) for w in reversed(_admissible(ge, depth))]
     intervals, gaps = _separate_adjacent(intervals)
     return CoverLevel(
         x=x,
@@ -183,7 +167,8 @@ def cover_sequence(x, m: int, depth: int, tol=None) -> list[CoverLevel]:
     """Covers for every level from the first defect through `depth`."""
     x = to_rational(x)
     ell = GreedyExpansion(x, m).first_defect
-    return [cover(x, m, n, tol) for n in range(ell, depth + 1)]
+    # below the first defect the one level asked for is `cover`'s refusal
+    return [cover(x, m, n, tol) for n in range(min(ell, depth), depth + 1)]
 
 
 def _separate_adjacent(intervals):

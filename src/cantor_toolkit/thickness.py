@@ -158,15 +158,14 @@ def ek_hulls(x, m: int, count: int, tol=None) -> list[EkSystem]:
 
 
 def ek_system(x, m: int, k: int, tol=None) -> EkSystem:
+    if k < 1:
+        raise DomainError("k must be >= 1")
     return ek_hulls(x, m, k, tol)[k - 1]
 
 
 def ek_basic_interval(system: EkSystem, word, tol=None) -> BasicInterval:
     """Depth-|word| basic interval of the subsystem (its hull for the empty word)."""
     word = tuple(int(d) for d in word)
-    for d in word:
-        if not 0 <= d <= system.m - 1:
-            raise DomainError("digit %r outside 0..%d" % (d, system.m - 1))
     iv = interval_for_prefix(system.x, system.m, system.prefix + word, tol)
     return BasicInterval(word, iv.left, iv.right)
 
@@ -410,7 +409,7 @@ def _certified_inside(e: Bracket, hull: BasicInterval, same_point: bool) -> bool
 def _witness_inside(
     sys_a: EkSystem, sys_b: EkSystem, depth: int, tol, same_point: bool
 ) -> Optional[EndpointWitness]:
-    for word in sorted(itertools.product(range(sys_a.m), repeat=depth), reverse=True):
+    for word in itertools.product(range(sys_a.m - 1, -1, -1), repeat=depth):
         iv = ek_basic_interval(sys_a, word, tol)
         for side, e in (("left", iv.left), ("right", iv.right)):
             if _certified_inside(e, sys_b.hull, same_point):

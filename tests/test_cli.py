@@ -287,6 +287,14 @@ def test_cover_svg_digits_too_coarse_for_hull_exits_2(capsys):
     assert "too coarse" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "svg"])
+def test_cover_below_first_defect_exits_2_in_every_format(capsys, fmt):
+    code, out, err = run_cli(capsys, "cover", "--m", "2", "--x", "1/2", "--depth", "1",
+                             "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: cover depth 1 is below the first defect level 2\n"
+
+
 # ---------------------------------------------------------------------------
 # every format lays out the one payload
 

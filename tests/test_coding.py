@@ -70,18 +70,6 @@ def test_greedy_partial_sums_sandwich_x(x, m, n):
     assert partial <= x < partial + Q(1, m**n)
 
 
-@settings(max_examples=100, deadline=None)
-@given(xs, st.integers(2, 4), st.integers(1, 8))
-def test_greedy_is_lexicographically_largest(x, m, i):
-    # lowering any digit and completing with the max tail stays strictly below
-    ge = GreedyExpansion(x, m)
-    digits = ge.prefix(i)
-    if digits[i - 1] == 0:
-        return
-    alt = digits[: i - 1] + (digits[i - 1] - 1,)
-    assert ge.compare_code(Code(m, alt, Tail.MAX)) is Ordering.LESS
-
-
 def test_derived_indices():
     ge = GreedyExpansion(Q(1, 2), 2)
     assert ge.first_defect == 2
@@ -238,14 +226,6 @@ def test_lex_compare_examples():
     assert lex_compare(Code(2, (1, 1)), Code(2, (1, 0), Tail.MAX)) is Ordering.GREATER
     assert lex_compare(Code(2, (1,), Tail.MAX), Code(2, (), Tail.MAX)) is Ordering.EQUAL
     assert lex_compare(Code(2, (1, 0)), Code(2, (1,))) is Ordering.EQUAL
-
-
-def test_greedy_compare_code_truncated():
-    ge = GreedyExpansion(Q(1, 2), 2)  # greedy stream 1, 0, 0, ...
-    assert ge.compare_code(Code(2, (0,), Tail.TRUNCATED)) is Ordering.LESS
-    assert ge.compare_code(Code(2, (1, 1), Tail.TRUNCATED)) is Ordering.GREATER
-    with pytest.raises(DomainError):
-        ge.compare_code(Code(2, (1,), Tail.TRUNCATED))
 
 
 def test_lex_compare_truncated():

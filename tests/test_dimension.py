@@ -109,7 +109,7 @@ def test_dim_lower_formula_bounds_use_bracket_monotonicity():
 
 def test_counts_monotone_and_slope_in_range():
     cv = cover(Q(1, 2), 2, 8, TOL)
-    est = box_dimension([cv], (Q(1, 3), Q(1, 2)), 10)
+    est = box_dimension(cv, (Q(1, 3), Q(1, 2)), 10)
     counts = [count for _, count in est.grid_levels]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert 0 <= est.slope <= 1
@@ -125,7 +125,7 @@ def test_counts_monotone_and_slope_in_range():
 )
 def test_box_counts_match_set_of_occupied_boxes(x, m, window):
     cv = cover(x, m, 7, TOL)
-    est = box_dimension([cv], window, 14)
+    est = box_dimension(cv, window, 14)
     for t, (size, count) in enumerate(est.grid_levels, start=1):
         boxes = set()
         for iv in cv.intervals:
@@ -138,7 +138,7 @@ def test_box_counts_match_set_of_occupied_boxes(x, m, window):
 def test_degenerate_window_single_endpoint_slope_zero():
     cv = cover(Q(1, 2), 2, 6, TOL)
     eps = Q(1, 10**9)
-    est = box_dimension([cv], (Q(1, 3) - eps, Q(1, 3) + eps), 8)
+    est = box_dimension(cv, (Q(1, 3) - eps, Q(1, 3) + eps), 8)
     assert est.slope == 0.0
     assert all(count <= 2 for _, count in est.grid_levels)
 
@@ -146,20 +146,20 @@ def test_degenerate_window_single_endpoint_slope_zero():
 def test_empty_window_raises():
     cv = cover(Q(1, 2), 2, 6, TOL)
     with pytest.raises(EmptyWindowError):
-        box_dimension([cv], (Q(1, 100), Q(2, 100)), 8)
+        box_dimension(cv, (Q(1, 100), Q(2, 100)), 8)
 
 
 def test_window_near_max_denser_than_near_min():
     cv = cover(Q(1, 2), 2, 12, TOL)
-    near_max = box_dimension([cv], (Q(1, 2) - Q(1, 16), Q(1, 2)), 12)
-    near_min = box_dimension([cv], (Q(1, 3), Q(1, 3) + Q(1, 16)), 12)
+    near_max = box_dimension(cv, (Q(1, 2) - Q(1, 16), Q(1, 2)), 12)
+    near_min = box_dimension(cv, (Q(1, 3), Q(1, 3) + Q(1, 16)), 12)
     assert near_max.slope > near_min.slope
 
 
 def test_grid_deeper_than_float_exponent_range():
     # 2^1100 overflows a float; the fit reads log 2^t off the integer
     cv = cover(Q(1, 2), 2, 4, TOL)
-    est = box_dimension([cv], (Q(1, 3), Q(1, 2)), 1100)
+    est = box_dimension(cv, (Q(1, 3), Q(1, 2)), 1100)
     assert est.grid_levels[-1][0] == Q(1, 2**1100)
     assert abs(est.slope - 1) < 1e-9  # positive-width intervals fill their boxes
 
@@ -168,7 +168,7 @@ def test_grid_depth_below_three_raises():
     # ceil(2 / 2) = 1 fitted level cannot determine a slope
     cv = cover(Q(1, 2), 2, 4, TOL)
     with pytest.raises(DomainError, match="grid_depth must be >= 3"):
-        box_dimension([cv], (Q(1, 3), Q(1, 2)), 2)
+        box_dimension(cv, (Q(1, 3), Q(1, 2)), 2)
 
 
 def test_slope_above_one_is_clamped_with_a_warning(caplog):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from cantor_toolkit import (
     compare_brackets,
     cover,
     cover_sequence,
+    ek_basic_interval,
+    ek_system,
     eval_pi,
     hull_of,
     is_admissible,
@@ -23,7 +26,7 @@ from cantor_toolkit import (
 )
 from cantor_toolkit._rat import Q
 
-from oracles import simplest_between
+from oracles import exact_series, simplest_between
 
 TOL = Q(1, 2**40)
 xs = st.fractions(min_value=Fraction(1, 200), max_value=Fraction(199, 200), max_denominator=200)
@@ -54,6 +57,42 @@ def test_admissible_empty_below_first_defect():
     # greedy stream of 7/8 is 1 1 1 0..., so nothing is admissible before level 4
     assert admissible_words(Q(7, 8), 2, 3) == []
     assert admissible_words(Q(7, 8), 2, 4) == [(1, 1, 1, 0), (1, 1, 1, 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(xs, st.integers(2, 5), st.integers(1, 6))
+def test_admissible_words_are_the_words_whose_max_completion_exceeds_x(x, m, n):
+    # at lam = 1/m a word's max completion is worth (its value + 1) / m^n, so
+    # the value oracle decides admissibility without comparing digit tuples
+    x = Q(x)
+    ge = GreedyExpansion(x, m)
+    if n < ge.first_defect:
+        assert admissible_words(x, m, n) == []
+        return
+    expected = [
+        w for w in itertools.product(range(m), repeat=n)
+        if exact_series(w, True, m, Q(1, m)) > x
+    ]
+    assert admissible_words(x, m, n) == expected
+    admissible = set(expected)
+    for w in itertools.product(range(m), repeat=n):
+        assert is_admissible(x, m, w) is (w in admissible)
+    greedy_value = sum(d * m ** (n - i) for i, d in enumerate(ge.prefix(n), 1))
+    assert len(expected) == m**n - greedy_value
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda w: is_admissible(Q(1, 2), 2, w),
+        lambda w: basic_interval(Q(1, 2), 2, w, TOL),
+        lambda w: ek_basic_interval(ek_system(Q(1, 2), 2, 1, TOL), w, TOL),
+    ],
+    ids=["is_admissible", "basic_interval", "ek_basic_interval"],
+)
+def test_out_of_range_digit_rejected(build):
+    with pytest.raises(DomainError, match="outside 0..1"):
+        build((2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -308,3 +308,11 @@ def test_interleave_depth_below_one_rejected(depth):
 def test_tau_report_depth_below_one_rejected(depth):
     with pytest.raises(DomainError, match="depth must be >= 1"):
         thickness.tau_report(ek_system(Q(1, 2), 2, 1, TOL), depth, TOL)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_subsystem_index_below_one_rejected(k):
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        ek_system(Q(1, 2), 2, k, TOL)
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        tau_estimate(Q(1, 2), 2, k, 2, TOL)
