@@ -3,6 +3,10 @@
 ``Q`` is ``fractions.Fraction``: exact, always in lowest terms and
 hashable.  Root solving tests signs in plain integer arithmetic and builds
 ``Q`` values only for the brackets it returns.
+
+`to_rational` is where outside numbers enter the package: public entry
+points pass their rational arguments through it once, and the code below
+them trusts the `Q` it returns.
 """
 
 from __future__ import annotations
@@ -17,8 +21,12 @@ def to_rational(value) -> "Q":
     """Coerce ints, 'p/q' strings and Fractions to Q.
 
     Floats are rejected: they cannot name the exact rationals this package
-    certifies against.
+    certifies against.  A value whose type is exactly `Q` is returned as it
+    is (a `Q` is immutable and already in lowest terms), so repeating the
+    call below an entry point costs one type test.
     """
+    if type(value) is Q:
+        return value
     if isinstance(value, float):
         raise TypeError(
             "refusing float %r: pass an exact rational ('p/q' string, int or Fraction)" % (value,)

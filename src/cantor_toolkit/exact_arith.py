@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from ._rat import Q, to_rational
@@ -55,6 +56,12 @@ class Code:
     Explicit tails (ZERO / MAX) denote a fully determined infinite digit
     stream; TRUNCATED codes can only be bounded between their two
     completions.
+
+    ``Code(m, prefix, tail)`` is the checked constructor: it refuses
+    m < 2, a tail that is not a `Tail`, and any digit that is not an
+    integer (``operator.index``: floats and strings are refused, not
+    truncated) in 0..m-1.  ``Code._of`` is the trusted one, for callers
+    whose parts come from a code or word already checked.
     """
 
     m: int
@@ -66,10 +73,15 @@ class Code:
             raise DomainError("alphabet size m must be >= 2, got %r" % (self.m,))
         if not isinstance(self.tail, Tail):
             raise DomainError("tail must be a Tail member")
-        for d in self.prefix:
-            if not 0 <= d <= self.m - 1:
-                raise DomainError("digit %r outside 0..%d" % (d, self.m - 1))
-        object.__setattr__(self, "prefix", tuple(int(d) for d in self.prefix))
+        object.__setattr__(self, "prefix", tuple(_digit(d, self.m) for d in self.prefix))
+
+    @classmethod
+    def _of(cls, m: int, prefix: tuple[int, ...], tail: Tail) -> "Code":
+        """Build a code without checks: m >= 2, `prefix` a tuple of ints in
+        0..m-1 and `tail` a `Tail` are the caller's guarantee."""
+        code = object.__new__(cls)
+        code.__dict__.update(m=m, prefix=prefix, tail=tail)
+        return code
 
     # -- stream access ------------------------------------------------
 
@@ -98,7 +110,8 @@ class Code:
         n = len(p)
         while n and p[n - 1] == t:
             n -= 1
-        return self if n == len(p) else Code(self.m, p[:n], self.tail)
+        # a slice of a checked prefix is checked
+        return self if n == len(p) else Code._of(self.m, p[:n], self.tail)
 
     def is_zero_stream(self) -> bool:
         c = self.canonical()
@@ -106,7 +119,7 @@ class Code:
 
     def completions(self) -> tuple["Code", "Code"]:
         """(smallest, largest) explicit completion of a truncated code."""
-        return (Code(self.m, self.prefix, Tail.ZERO), Code(self.m, self.prefix, Tail.MAX))
+        return (Code._of(self.m, self.prefix, Tail.ZERO), Code._of(self.m, self.prefix, Tail.MAX))
 
     # -- text form ----------------------------------------------------
 
@@ -137,6 +150,17 @@ class Code:
         return cls(m, digits, tail)
 
 
+def _digit(d, m: int) -> int:
+    """`d` as an int in 0..m-1, or DomainError."""
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise DomainError("digit %r is not an integer" % (d,)) from None
+    if not 0 <= d < m:
+        raise DomainError("digit %r outside 0..%d" % (d, m - 1))
+    return d
+
+
 @dataclass(frozen=True)
 class Bracket:
     """An exact rational interval [lo, hi] certified to contain the unique
@@ -148,6 +172,12 @@ class Bracket:
     when a sign test lands on the root, for the all-(m-1) code (root
     x/(m-1+x)), and for the capped right endpoint 1/m of a basic interval
     on the greedy spine.
+
+    ``Bracket(lo, hi, code, x)`` is the checked constructor: it refuses
+    lo > hi and ends outside (0, 1/m].  ``Bracket._of`` is the trusted
+    one, used only where the ends are in range by construction: the
+    solver's returns (see `_solve_cached`), `refine`, and the capped end
+    1/m of a basic interval on the greedy spine.
     """
 
     lo: Q
@@ -160,6 +190,14 @@ class Bracket:
             raise DomainError("bracket bounds out of order")
         if not (0 < self.lo and self.hi * self.code.m <= 1):
             raise DomainError("bracket must lie inside (0, 1/m]")
+
+    @classmethod
+    def _of(cls, lo: Q, hi: Q, code: Code, x: Q) -> "Bracket":
+        """Build a bracket without checks: 0 < lo <= hi <= 1/m, all `Q`,
+        are the caller's guarantee."""
+        bracket = object.__new__(cls)
+        bracket.__dict__.update(lo=lo, hi=hi, code=code, x=x)
+        return bracket
 
     @property
     def m(self) -> int:
@@ -310,7 +348,7 @@ def resolve_tol(tol) -> Q:
     if tol is None:
         return DEFAULT_TOL
     tol = to_rational(tol)
-    if tol <= 0:
+    if tol.numerator <= 0:
         raise DomainError("tol must be positive")
     return tol
 
@@ -323,7 +361,7 @@ def solve_lambda(x, code: Code, tol=None) -> Bracket:
     code is identically zero.
     """
     x = to_rational(x)
-    if not 0 < x < 1:
+    if not 0 < x.numerator < x.denominator:
         raise DomainError("x must lie in (0, 1)")
     tol = resolve_tol(tol)
     canon = code.canonical()
@@ -334,9 +372,16 @@ def solve_lambda(x, code: Code, tol=None) -> Bracket:
     return _solve_cached(x, canon, tol)
 
 
-# Reuse: 3,538 of 5,728 solve lookups in `intersect --kmax 12` hit.
+# Reuse: 3,370 of 5,560 solve lookups in `intersect --kmax 12` hit.
 @functools.lru_cache(maxsize=1 << 16)
 def _solve_cached(x, code: Code, tol) -> Bracket:
+    """The bracket of `solve_lambda`, for its checked x, canonical code and tol.
+
+    Every return builds its bracket with `Bracket._of`: each end is 1/m,
+    the hull end x/(m-1+x), or a grid point c/2^k with gl <= c <= gh, and
+    every grid end is clamped to [gl, gh] and cut back to the hull ends;
+    so 0 < lo <= hi <= 1/m holds by construction.
+    """
     m = code.m
     cap = Q(1, m)
     s = _sign(code, (1, m), x)
@@ -346,7 +391,7 @@ def _solve_cached(x, code: Code, tol) -> Bracket:
             % (code.describe(), eval_pi(code, cap), x)
         )
     if s == 0:
-        return Bracket(cap, cap, code, x)
+        return Bracket._of(cap, cap, code, x)
     # Every code is dominated by the all-(m-1) stream, whose root
     # hull_lo = x/(m-1+x) = xn/hd pins a positive lower end of the search.
     # Below 1/m distinct digit streams take distinct values, so no other
@@ -354,10 +399,10 @@ def _solve_cached(x, code: Code, tol) -> Bracket:
     xn, xd = x.numerator, x.denominator
     hd = xn + (m - 1) * xd
     if code.tail is Tail.MAX and not code.prefix:
-        return Bracket(Q(xn, hd), Q(xn, hd), code, x)
+        return Bracket._of(Q(xn, hd), Q(xn, hd), code, x)
     # 1/m - hull_lo = (m-1)(xd-xn) / (m hd)
     if (m - 1) * (xd - xn) * tol.denominator <= tol.numerator * m * hd:
-        return Bracket(Q(xn, hd), cap, code, x)
+        return Bracket._of(Q(xn, hd), cap, code, x)
     # Grid 2^-k, the largest power of two <= tol (so k >= 2 here).
     # gl = floor(hull_lo 2^k) and gh = ceil(2^k/m), so the signs there are
     # certain and every widening below stops by them; the final bracket is
@@ -378,37 +423,41 @@ def _solve_cached(x, code: Code, tol) -> Bracket:
         lo_c, hi_c = max(lo_c - step, gl), lo_c
         step *= 2
     if s == 0:
-        return Bracket(Q(lo_c, one), Q(lo_c, one), code, x)
+        return Bracket._of(Q(lo_c, one), Q(lo_c, one), code, x)
     while (s := _sign(code, (hi_c, one), x)) < 0:
         lo_c, hi_c = hi_c, min(hi_c + step, gh)
         step *= 2
     if s == 0:
-        return Bracket(Q(hi_c, one), Q(hi_c, one), code, x)
+        return Bracket._of(Q(hi_c, one), Q(hi_c, one), code, x)
     # integer bisection down to the one grid cell that holds the root
     while hi_c - lo_c > 1:
         mid = (lo_c + hi_c) // 2
         s = _sign(code, (mid, one), x)
         if s == 0:
-            return Bracket(Q(mid, one), Q(mid, one), code, x)
+            return Bracket._of(Q(mid, one), Q(mid, one), code, x)
         if s < 0:
             lo_c = mid
         else:
             hi_c = mid
     lo = Q(xn, hd) if lo_c == gl else Q(lo_c, one)
-    return Bracket(lo, cap if hi_c == gh else Q(hi_c, one), code, x)
+    return Bracket._of(lo, cap if hi_c == gh else Q(hi_c, one), code, x)
 
 
 def refine(bracket: Bracket) -> Bracket:
-    """One certified halving step: keep the half whose ends straddle the root."""
+    """One certified halving step: keep the half whose ends straddle the root.
+
+    The new bracket keeps one end of `bracket` and its midpoint, so it lies
+    in its parent and is built with `Bracket._of`.
+    """
     if bracket.is_exact:
         return bracket
     s = (bracket.lo + bracket.hi) / 2
     sign = _sign(bracket.code, (s.numerator, s.denominator), bracket.x)
     if sign == 0:
-        return Bracket(s, s, bracket.code, bracket.x)
+        return Bracket._of(s, s, bracket.code, bracket.x)
     if sign < 0:
-        return Bracket(s, bracket.hi, bracket.code, bracket.x)
-    return Bracket(bracket.lo, s, bracket.code, bracket.x)
+        return Bracket._of(s, bracket.hi, bracket.code, bracket.x)
+    return Bracket._of(bracket.lo, s, bracket.code, bracket.x)
 
 
 def refine_until(holds, *brackets):

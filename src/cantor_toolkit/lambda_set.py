@@ -22,6 +22,7 @@ from .exact_arith import (
     Bracket,
     Code,
     Tail,
+    resolve_tol,
     separate_brackets,
     solve_lambda,
 )
@@ -69,14 +70,22 @@ class CoverLevel:
 
 def hull_of(x, m: int) -> tuple[Q, Q]:
     """Exact convex hull [x/(m-1+x), 1/m] of the parameter set."""
-    x = to_rational(x)
-    if not 0 < x < 1:
-        raise DomainError("x must lie in (0, 1)")
+    x = _point(x)
     return (x / (m - 1 + x), Q(1, m))
 
 
-def _word_tuple(word) -> tuple[int, ...]:
-    return tuple(int(d) for d in word)
+def _point(x) -> Q:
+    """`x` as a Q in (0, 1), or DomainError."""
+    x = to_rational(x)
+    if not 0 < x.numerator < x.denominator:
+        raise DomainError("x must lie in (0, 1)")
+    return x
+
+
+def _word_tuple(m: int, word) -> tuple[int, ...]:
+    """`word` as a tuple of ints in 0..m-1, checked by `Code` (so floats
+    and strings raise DomainError instead of being truncated)."""
+    return Code(m, tuple(word)).prefix
 
 
 def is_admissible(x, m: int, word) -> bool:
@@ -84,7 +93,7 @@ def is_admissible(x, m: int, word) -> bool:
     length; words shorter than the first defect are excluded as degenerate
     (their interval is the whole hull)."""
     ge = GreedyExpansion(x, m)
-    word = Code(m, _word_tuple(word)).prefix  # validates the digits
+    word = _word_tuple(m, word)
     return len(word) >= ge.first_defect and word >= ge.prefix(len(word))
 
 
@@ -113,23 +122,27 @@ def _admissible(ge: GreedyExpansion, n: int) -> list[tuple[int, ...]]:
 
 
 def interval_for_prefix(x, m: int, prefix, tol=None) -> BasicInterval:
-    """Basic interval with endpoint codes prefix+max-tail / prefix+zero-tail."""
-    x = to_rational(x)
-    prefix = _word_tuple(prefix)
-    left = solve_lambda(x, Code(m, prefix, Tail.MAX), tol)
+    """Basic interval with endpoint codes prefix+max-tail / prefix+zero-tail.
+
+    Checks x and the word once; its three codes and the capped bracket are
+    then built unchecked from them.
+    """
+    x = _point(x)
+    prefix = _word_tuple(m, prefix)
+    left = solve_lambda(x, Code._of(m, prefix, Tail.MAX), tol)
     try:
-        right = solve_lambda(x, Code(m, prefix, Tail.ZERO), tol)
+        right = solve_lambda(x, Code._of(m, prefix, Tail.ZERO), tol)
     except NoRootError:
         # Greedy spine: codings starting with this prefix accumulate at the
         # hull maximum, reached by the greedy coding itself.
         cap = Q(1, m)
-        right = Bracket(cap, cap, Code(m, prefix, Tail.TRUNCATED), x)
+        right = Bracket._of(cap, cap, Code._of(m, prefix, Tail.TRUNCATED), x)
     return BasicInterval(prefix, left, right)
 
 
 def basic_interval(x, m: int, word, tol=None) -> BasicInterval:
     """The basic interval of an admissible word (NotAdmissibleError otherwise)."""
-    word = _word_tuple(word)
+    word = _word_tuple(m, word)
     if not is_admissible(x, m, word):
         raise NotAdmissibleError(
             "word %r cannot begin a coding of %s over m=%d" % ("".join(map(str, word)), x, m)
@@ -144,6 +157,7 @@ def cover(x, m: int, depth: int, tol=None) -> CoverLevel:
     the returned CoverLevel.
     """
     x = to_rational(x)
+    tol = resolve_tol(tol)
     ge = GreedyExpansion(x, m)
     ell = ge.first_defect
     if depth < ell:

@@ -58,9 +58,13 @@ class ThicknessReport:
     """Certified thickness summary of one subsystem at a finite depth.
 
     tau_empirical is the minimum over computed levels, an over-estimate of
-    the true infimum; the analytic fields are genuine lower bounds derived
-    from the endpoint equations.  All rational fields are conservative
-    interval endpoints.
+    the true infimum.  tau_analytic_lower is the least bound, derived from
+    the endpoint equations, over the sibling pairs of levels 1..depth: it
+    bounds those levels only, and it falls as levels are added, so nothing
+    shows that it bounds the levels below the scanned depth.
+    newhouse_lower evaluates the same bound from the subsystem's hull ends
+    alone, so it does not depend on depth.  All rational fields are
+    conservative interval endpoints.
     """
 
     k: int
@@ -165,9 +169,8 @@ def ek_system(x, m: int, k: int, tol=None) -> EkSystem:
 
 def ek_basic_interval(system: EkSystem, word, tol=None) -> BasicInterval:
     """Depth-|word| basic interval of the subsystem (its hull for the empty word)."""
-    word = tuple(int(d) for d in word)
-    iv = interval_for_prefix(system.x, system.m, system.prefix + word, tol)
-    return BasicInterval(word, iv.left, iv.right)
+    iv = interval_for_prefix(system.x, system.m, system.prefix + tuple(word), tol)
+    return BasicInterval(iv.word[len(system.prefix) :], iv.left, iv.right)
 
 
 # ---------------------------------------------------------------------------
