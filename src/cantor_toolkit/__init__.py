@@ -19,7 +19,6 @@ _EXPORTS = {
         "MembershipResult",
         "Verdict",
         "greedy_expansion",
-        "lex_compare",
         "membership",
         "unique_coding",
     ),

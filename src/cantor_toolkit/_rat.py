@@ -4,14 +4,17 @@
 hashable.  Root solving tests signs in plain integer arithmetic and builds
 ``Q`` values only for the brackets it returns.
 
-`to_rational` is where outside numbers enter the package: public entry
-points pass their rational arguments through it once, and the code below
-them trusts the `Q` it returns.
+`to_rational` and `to_alphabet` are where outside numbers enter the
+package: public entry points pass their rational arguments and alphabet
+sizes through them once, and the code below them trusts what they return.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction as Q
+
+from .errors import DomainError
 
 # Fraction is the only backend; the flag stays for records that name it.
 HAVE_GMPY2 = False
@@ -40,6 +43,18 @@ def to_rational(value) -> "Q":
             return Q(int(num), int(den))
         return Q(int(text))
     raise TypeError("cannot interpret %r as an exact rational" % (value,))
+
+
+def to_alphabet(m) -> int:
+    """`m` as an int >= 2 (``operator.index``: floats are refused, not
+    truncated), or DomainError."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise DomainError("alphabet size m %r is not an integer" % (m,)) from None
+    if m < 2:
+        raise DomainError("alphabet size m must be >= 2, got %r" % (m,))
+    return m
 
 
 def rat_str(value) -> str:

@@ -88,7 +88,7 @@ def _resolve_center(text: str, x: Q, m: int, tol):
         return exact_arith.Bracket(cap, cap, code, x)
     try:
         code = exact_arith.Code.parse(text, m)
-    except (DomainError, ValueError):
+    except DomainError:
         raise ConfigError("cannot parse %r as a digit code for m=%d" % (text, m))
     if not lambda_set.is_admissible(x, m, code.prefix):
         raise ConfigError("code %r is not admissible for x=%s" % (text, x))

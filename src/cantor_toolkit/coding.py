@@ -14,9 +14,8 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Q, to_rational
+from ._rat import Q, to_alphabet, to_rational
 from .errors import DomainError, HullViolationError
-from .exact_arith import Code, Ordering, Tail
 
 #: Remainder states tracked for cycle detection before giving up; bounds
 #: memory on adversarial parameter denominators.
@@ -38,10 +37,8 @@ class GreedyExpansion:
         x = to_rational(x)
         if not 0 < x < 1:
             raise DomainError("x must lie in (0, 1)")
-        if m < 2:
-            raise DomainError("m must be >= 2")
         self.x = x
-        self.m = m
+        self.m = to_alphabet(m)
         self._digits: list[int] = []
         self._remainder = x  # x scaled into [0,1) after the produced digits
         self._zero_from: Optional[int] = None  # 1-based index of an all-zero tail
@@ -105,9 +102,6 @@ class GreedyExpansion:
                 if seen == j:
                     return i
 
-    def defect_indices(self, count: int) -> tuple[int, ...]:
-        return tuple(self.defect_index(j) for j in range(1, count + 1))
-
 
 def greedy_expansion(x, m: int, n: int) -> GreedyExpansion:
     """Greedy expansion of x with the first n digits materialized."""
@@ -144,6 +138,7 @@ def unique_coding(x, lam, m: int, n: int) -> tuple[tuple[int, ...], Optional[int
     """
     x = to_rational(x)
     lam = to_rational(lam)
+    m = to_alphabet(m)
     if not (0 < lam and lam * m < 1):
         raise DomainError("lam must lie in (0, 1/m)")
     if n < 1:
@@ -185,19 +180,6 @@ class MembershipResult:
     failing_step: Optional[int] = None
     depth_reached: Optional[int] = None
 
-    def coding_value(self, lam) -> Q:
-        """Exact value of the detected eventually periodic coding at lam."""
-        if self.verdict is not Verdict.MEMBER:
-            raise DomainError("only MEMBER results carry a full coding")
-        lam = to_rational(lam)
-        acc = Q(0)
-        for d in reversed(self.period):
-            acc = (acc + d) * lam
-        acc = acc / (1 - lam ** len(self.period)) if self.period else Q(0)
-        for d in reversed(self.preperiod):
-            acc = (acc + d) * lam
-        return acc
-
 
 def membership(x, lam, m: int, max_steps: int = DEFAULT_MAX_STEPS) -> MembershipResult:
     """Certified membership of x in the self-similar set with parameter lam.
@@ -209,6 +191,7 @@ def membership(x, lam, m: int, max_steps: int = DEFAULT_MAX_STEPS) -> Membership
     """
     x = to_rational(x)
     lam = to_rational(lam)
+    m = to_alphabet(m)
     if not (0 < lam and lam * m <= 1):
         raise DomainError("lam must lie in (0, 1/m]")
     if max_steps < 1:
@@ -238,32 +221,3 @@ def membership(x, lam, m: int, max_steps: int = DEFAULT_MAX_STEPS) -> Membership
         if len(seen) < DEFAULT_STATE_CAP:
             seen[y] = step
     return MembershipResult(Verdict.UNDETERMINED, tuple(digits), depth_reached=max_steps)
-
-
-# ---------------------------------------------------------------------------
-# lexicographic order
-
-
-def lex_compare(a: Code, b: Code) -> Ordering:
-    """Lexicographic order of the induced infinite digit streams."""
-    if a.m != b.m:
-        raise DomainError("alphabet mismatch")
-    if a.tail is Tail.TRUNCATED or b.tail is Tail.TRUNCATED:
-        a_lo, a_hi = a.completions() if a.tail is Tail.TRUNCATED else (a, a)
-        b_lo, b_hi = b.completions() if b.tail is Tail.TRUNCATED else (b, b)
-        if lex_compare(a_hi, b_lo) is Ordering.LESS:
-            return Ordering.LESS
-        if lex_compare(b_hi, a_lo) is Ordering.LESS:
-            return Ordering.GREATER
-        if a.canonical() == b.canonical():
-            return Ordering.EQUAL
-        return Ordering.INCOMPARABLE
-    n = max(len(a.prefix), len(b.prefix))
-    for i in range(1, n + 1):
-        da, db = a.digit(i), b.digit(i)
-        if da != db:
-            return Ordering.GREATER if da > db else Ordering.LESS
-    ta, tb = a.tail_digit, b.tail_digit
-    if ta == tb:
-        return Ordering.EQUAL
-    return Ordering.GREATER if ta > tb else Ordering.LESS

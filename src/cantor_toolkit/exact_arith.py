@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from ._rat import Q, to_rational
+from ._rat import Q, to_alphabet, to_rational
 from .errors import DomainError, NoRootError, PrecisionExhaustedError
 
 #: Default bracket width for solved parameters; callers refine on demand
@@ -36,9 +36,6 @@ class Ordering(enum.Enum):
     LESS = -1
     EQUAL = 0
     GREATER = 1
-    #: Only produced when comparing truncated digit codes whose completion
-    #: ranges overlap.
-    INCOMPARABLE = 2
 
 
 class Tail(enum.Enum):
@@ -54,14 +51,13 @@ class Code:
     """A digit word over {0, ..., m-1} plus a tail marker.
 
     Explicit tails (ZERO / MAX) denote a fully determined infinite digit
-    stream; TRUNCATED codes can only be bounded between their two
-    completions.
+    stream; TRUNCATED codes leave the suffix open.
 
-    ``Code(m, prefix, tail)`` is the checked constructor: it refuses
-    m < 2, a tail that is not a `Tail`, and any digit that is not an
-    integer (``operator.index``: floats and strings are refused, not
-    truncated) in 0..m-1.  ``Code._of`` is the trusted one, for callers
-    whose parts come from a code or word already checked.
+    ``Code(m, prefix, tail)`` is the checked constructor: it refuses an m
+    or digit that is not an integer (``operator.index``: floats and
+    strings are refused, not truncated), m < 2, digits outside 0..m-1 and
+    a tail that is not a `Tail`.  ``Code._of`` is the trusted one, for
+    callers whose parts come from a code or word already checked.
     """
 
     m: int
@@ -69,8 +65,7 @@ class Code:
     tail: Tail = Tail.ZERO
 
     def __post_init__(self):
-        if self.m < 2:
-            raise DomainError("alphabet size m must be >= 2, got %r" % (self.m,))
+        object.__setattr__(self, "m", to_alphabet(self.m))
         if not isinstance(self.tail, Tail):
             raise DomainError("tail must be a Tail member")
         object.__setattr__(self, "prefix", tuple(_digit(d, self.m) for d in self.prefix))
@@ -93,14 +88,6 @@ class Code:
             return self.m - 1
         raise DomainError("truncated code has no determined tail digit")
 
-    def digit(self, i: int) -> int:
-        """1-based digit of the induced infinite stream."""
-        if i < 1:
-            raise DomainError("digit positions are 1-based")
-        if i <= len(self.prefix):
-            return self.prefix[i - 1]
-        return self.tail_digit
-
     def canonical(self) -> "Code":
         """Strip prefix digits absorbed by the tail, so equal streams compare equal."""
         if self.tail is Tail.TRUNCATED:
@@ -113,14 +100,6 @@ class Code:
         # a slice of a checked prefix is checked
         return self if n == len(p) else Code._of(self.m, p[:n], self.tail)
 
-    def is_zero_stream(self) -> bool:
-        c = self.canonical()
-        return c.tail is Tail.ZERO and not c.prefix
-
-    def completions(self) -> tuple["Code", "Code"]:
-        """(smallest, largest) explicit completion of a truncated code."""
-        return (Code._of(self.m, self.prefix, Tail.ZERO), Code._of(self.m, self.prefix, Tail.MAX))
-
     # -- text form ----------------------------------------------------
 
     def describe(self) -> str:
@@ -132,7 +111,8 @@ class Code:
 
     @classmethod
     def parse(cls, text: str, m: int) -> "Code":
-        """Parse '110:zero' / '10:max' style code literals."""
+        """Parse '110:zero' / '10:max' style code literals, reading a word
+        with a comma as comma-separated digits; DomainError otherwise."""
         word, sep, tailname = text.partition(":")
         if not sep:
             tailname = "zero"
@@ -141,13 +121,14 @@ class Code:
         except ValueError:
             raise DomainError("unknown tail %r (expected zero|max|trunc)" % (tailname,))
         word = word.strip()
-        if not word:
-            digits: tuple[int, ...] = ()
-        elif "," in word:
-            digits = tuple(int(p) for p in word.split(","))
-        else:
-            digits = tuple(int(ch) for ch in word)
-        return cls(m, digits, tail)
+        digits = []
+        for part in word.split(",") if "," in word else word:
+            # int() alone also takes underscores and non-ASCII digits
+            part = part.strip()
+            if not (part.isascii() and part.isdigit()):
+                raise DomainError("cannot read digit %r of code %r" % (part, text))
+            digits.append(int(part))
+        return cls(m, tuple(digits), tail)
 
 
 def _digit(d, m: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rat import Q, to_rational
+from ._rat import Q, to_alphabet, to_rational
 from .coding import GreedyExpansion
 from .errors import DomainError, NoRootError, NotAdmissibleError
 from .exact_arith import (
@@ -71,6 +71,7 @@ class CoverLevel:
 def hull_of(x, m: int) -> tuple[Q, Q]:
     """Exact convex hull [x/(m-1+x), 1/m] of the parameter set."""
     x = _point(x)
+    m = to_alphabet(m)
     return (x / (m - 1 + x), Q(1, m))
 
 

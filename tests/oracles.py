@@ -3,8 +3,10 @@
 Everything here deliberately avoids the package's own algorithms: digits
 come from a direct floor formula, roots from plain float bisection or
 exact Fraction bisection, word counts from exhaustive enumeration, membership from a closed-interval
-descent of the set construction, and sample points inside an interval from
-the smallest-denominator rational there.
+descent of the set construction, sample points inside an interval from
+the smallest-denominator rational there, the order of digit streams from
+comparing written-out lists, and the value of an eventually periodic
+stream from explicit power sums.
 """
 
 from __future__ import annotations
@@ -55,6 +57,31 @@ def exact_series(prefix, tail_max: bool, m: int, lam) -> Q:
     for d in reversed(prefix):
         acc = (acc + d) * lam
     return acc
+
+
+def periodic_value(preperiod, period, lam) -> Q:
+    """The digit series of preperiod + period repeated for ever at `lam`, in
+    Fractions: sum of d_i lam^i over the preperiod, plus lam^len(preperiod)
+    times one period's power sum over 1 - lam^len(period)."""
+    lam = Q(lam)
+    head = sum((d * lam**i for i, d in enumerate(preperiod, 1)), Q(0))
+    cycle = sum((d * lam**i for i, d in enumerate(period, 1)), Q(0))
+    return head + lam ** len(preperiod) * cycle / (1 - lam ** len(period))
+
+
+def lex_order(a, b) -> int:
+    """-1, 0 or 1 as stream `a` is lexicographically below, equal to or
+    above stream `b`.
+
+    A stream is (prefix, tail digit): the prefix, then the tail digit for
+    ever.  Both are written out one digit past the longer prefix; beyond
+    that only the two constant tails remain, so the lists decide.
+    """
+    (pa, ta), (pb, tb) = a, b
+    n = max(len(pa), len(pb)) + 1
+    sa = list(pa) + [ta] * (n - len(pa))
+    sb = list(pb) + [tb] * (n - len(pb))
+    return (sa > sb) - (sa < sb)
 
 
 def dyadic_cell(code, x, tol):

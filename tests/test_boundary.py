@@ -24,8 +24,11 @@ from cantor_toolkit import (
     cover,
     ek_basic_interval,
     ek_system,
+    hull_of,
+    membership,
     refine,
     solve_lambda,
+    unique_coding,
 )
 from cantor_toolkit._rat import Q, to_rational
 from cantor_toolkit.lambda_set import interval_for_prefix
@@ -119,6 +122,49 @@ def test_entry_points_refuse_x_outside_the_unit_interval(call, x):
         call(x)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Code(2.5, (1,)),
+        lambda: Code(2.0, (1,)),
+        lambda: GreedyExpansion(Q(1, 2), 2.5),
+        lambda: cover(Q(1, 2), 2.0, 3),
+        lambda: hull_of(Q(1, 2), 2.0),
+        lambda: hull_of(Q(1, 2), "2"),
+        lambda: membership(Q(1, 3), Q(1, 4), 2.5),
+        lambda: unique_coding(Q(1, 3), Q(1, 4), 2.5, 3),
+    ],
+    ids=[
+        "Code-2.5",
+        "Code-2.0",
+        "GreedyExpansion-2.5",
+        "cover-2.0",
+        "hull_of-2.0",
+        "hull_of-str",
+        "membership-2.5",
+        "unique_coding-2.5",
+    ],
+)
+def test_non_integer_alphabet_sizes_are_refused(call):
+    with pytest.raises(DomainError, match="is not an integer"):
+        call()
+
+
+@pytest.mark.parametrize("m", [1, 0, -2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: hull_of(Q(1, 2), m),
+        lambda m: membership(Q(1, 3), Q(1, 4), m),
+        lambda m: unique_coding(Q(1, 3), Q(1, 4), m, 3),
+    ],
+    ids=["hull_of", "membership", "unique_coding"],
+)
+def test_alphabets_below_two_are_refused(call, m):
+    with pytest.raises(DomainError, match="m must be >= 2"):
+        call(m)
+
+
 def test_interval_for_prefix_refuses_bad_alphabets_and_digits():
     with pytest.raises(DomainError, match="m must be >= 2"):
         interval_for_prefix(Q(1, 2), 1, (0,))
@@ -146,3 +192,28 @@ def test_interval_for_prefix_refuses_bad_alphabets_and_digits():
 def test_non_integer_digits_are_refused_not_truncated(build):
     with pytest.raises(DomainError, match="is not an integer"):
         build()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a", "1_0,1", "\u0661\u0661:zero", "\uff11", "1,,0", "+1,0", "1 0", "10:nil"],
+    ids=["letter", "underscore", "arabic_indic", "fullwidth", "empty-part", "signed", "space", "tail"],
+)
+def test_code_literals_take_only_ascii_digits(text):
+    with pytest.raises(DomainError):
+        Code.parse(text, 11)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("110:zero", Code(2, (1, 1, 0))),
+        ("10:max", Code(2, (1, 0), Tail.MAX)),
+        ("10", Code(2, (1, 0))),
+        (":trunc", Code(2, (), Tail.TRUNCATED)),
+        (" 1, 0 : MAX ", Code(2, (1, 0), Tail.MAX)),
+    ],
+    ids=["zero", "max", "default-tail", "empty-word", "commas-spaces-case"],
+)
+def test_code_literals_parse(text, expected):
+    assert Code.parse(text, 2) == expected

@@ -152,6 +152,20 @@ def test_invalid_code_for_dimension_exits_2(capsys):
     assert code == 2 and "code" in err
 
 
+# int() alone read these as the codes 11:zero and 10,1 and the scan ran
+@pytest.mark.parametrize(
+    "m, text",
+    [("2", "\u0661\u0661:zero"), ("11", "1_0,1")],
+    ids=["arabic_indic", "underscore"],
+)
+def test_code_option_takes_only_ascii_digits(capsys, m, text):
+    code, out, err = run_cli(
+        capsys, "dimension", "--m", m, "--x", "1/2", "--at", text, "--deltas", "1/8", "--depth", "4"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: cannot parse %r as a digit code for m=%s\n" % (text, m)
+
+
 def test_inadmissible_code_for_dimension_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "dimension", "--m", "2", "--x", "1/2", "--at", "01:zero", "--deltas", "1/8"

@@ -10,18 +10,16 @@ from cantor_toolkit import (
     DomainError,
     GreedyExpansion,
     HullViolationError,
-    Ordering,
     Tail,
     Verdict,
     eval_pi,
     greedy_expansion,
-    lex_compare,
     membership,
     unique_coding,
 )
 from cantor_toolkit._rat import Q
 
-from oracles import greedy_digits_longdiv, membership_oracle
+from oracles import greedy_digits_longdiv, membership_oracle, periodic_value
 
 xs = st.fractions(min_value=Fraction(1, 500), max_value=Fraction(499, 500), max_denominator=500)
 
@@ -74,11 +72,11 @@ def test_derived_indices():
     ge = GreedyExpansion(Q(1, 2), 2)
     assert ge.first_defect == 2
     assert ge.first_nonzero == 1
-    assert ge.defect_indices(4) == (2, 3, 4, 5)
+    assert tuple(ge.defect_index(j) for j in range(1, 5)) == (2, 3, 4, 5)
     ge = GreedyExpansion(Q(1, 3), 2)
     assert ge.first_defect == 1
     assert ge.first_nonzero == 2
-    assert ge.defect_indices(3) == (1, 3, 5)
+    assert tuple(ge.defect_index(j) for j in range(1, 4)) == (1, 3, 5)
 
 
 def test_greedy_rejects_bad_domain():
@@ -126,7 +124,7 @@ def test_membership_fixed_point_period():
     r = membership(Q(1, 3), Q(1, 4), 2)
     assert r.verdict is Verdict.MEMBER
     assert r.preperiod == () and r.period == (1,)
-    assert r.coding_value(Q(1, 4)) == Q(1, 3)
+    assert periodic_value(r.preperiod, r.period, Q(1, 4)) == Q(1, 3)
 
 
 def test_membership_gap_examples():
@@ -139,7 +137,7 @@ def test_membership_gap_examples():
 def test_membership_at_one_over_m_always_member():
     r = membership(Q(3, 7), Q(1, 2), 2)
     assert r.verdict is Verdict.MEMBER
-    assert r.coding_value(Q(1, 2)) == Q(3, 7)
+    assert periodic_value(r.preperiod, r.period, Q(1, 2)) == Q(3, 7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,7 +163,7 @@ def test_membership_reconstructs_planted_periodic_codings(m, lamf, pre, per):
     x = sum((d * lam**i for i, d in enumerate(pre, 1)), Q(0)) + lam ** len(pre) * tailval
     r = membership(x, lam, m, max_steps=400)
     assert r.verdict is Verdict.MEMBER
-    assert r.coding_value(lam) == x
+    assert periodic_value(r.preperiod, r.period, lam) == x
 
 
 @settings(max_examples=80, deadline=None)
@@ -216,20 +214,3 @@ def test_greedy_concurrent_extension_is_linearizable():
     for t in threads:
         t.join()
     assert all(r == reference for r in results)
-
-
-# ---------------------------------------------------------------------------
-# lexicographic order
-
-
-def test_lex_compare_examples():
-    assert lex_compare(Code(2, (1, 1)), Code(2, (1, 0), Tail.MAX)) is Ordering.GREATER
-    assert lex_compare(Code(2, (1,), Tail.MAX), Code(2, (), Tail.MAX)) is Ordering.EQUAL
-    assert lex_compare(Code(2, (1, 0)), Code(2, (1,))) is Ordering.EQUAL
-
-
-def test_lex_compare_truncated():
-    a = Code(2, (1,), Tail.TRUNCATED)
-    assert lex_compare(a, Code(2, (0,), Tail.MAX)) is Ordering.GREATER
-    assert lex_compare(a, Code(2, (1, 0), Tail.ZERO)) is Ordering.INCOMPARABLE
-    assert lex_compare(Code(2, (0, 0), Tail.MAX), a) is Ordering.LESS

@@ -1,11 +1,17 @@
 """The reference computations themselves: a faster oracle must return
-exactly what its plain form returned."""
+exactly what its plain form returned, and the stream order and periodic
+value oracles must agree with worked examples and with `exact_series`."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import float_root, float_series
+from cantor_toolkit._rat import Q
+
+from oracles import exact_series, float_root, float_series, lex_order, periodic_value
 
 
 def float_root_every_step(prefix, tail_max, m, x, iterations):
@@ -39,3 +45,53 @@ def test_float_root_stopping_at_a_fixed_point_changes_no_result(m, tail_max, ite
         assert (got is None) == (expected is None)
         if got is not None:
             assert got.hex() == expected.hex(), (prefix, x)
+
+
+def test_lex_order_of_explicit_streams():
+    assert lex_order(((1, 1), 0), ((1, 0), 1)) == 1  # 1 1 0^inf above 1 0 1^inf
+    assert lex_order(((1, 0), 1), ((1, 1), 0)) == -1
+    assert lex_order(((1,), 1), ((), 1)) == 0  # 1 1^inf is 1^inf
+    assert lex_order(((1, 0), 0), ((1,), 0)) == 0  # 1 0 0^inf is 1 0^inf
+    assert lex_order(((), 0), ((0, 0, 1), 0)) == -1
+
+
+@st.composite
+def stream_pairs(draw):
+    """An alphabet size m and two explicit streams over it, each as
+    (prefix, tail is m-1)."""
+    m = draw(st.integers(2, 4))
+    digits = st.lists(st.integers(0, m - 1), max_size=6)
+    return m, [(draw(digits), draw(st.booleans())) for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream_pairs())
+def test_lex_order_is_the_value_order_below_one_over_m(case):
+    # for lam < 1/m the digit series is strictly increasing in the stream's order
+    m, ((pa, a_max), (pb, b_max)) = case
+    lam = Q(1, m + 1)
+    diff = exact_series(pa, a_max, m, lam) - exact_series(pb, b_max, m, lam)
+    a, b = (pa, m - 1 if a_max else 0), (pb, m - 1 if b_max else 0)
+    assert lex_order(a, b) == (diff > 0) - (diff < 0)
+
+
+def test_periodic_value_examples():
+    assert periodic_value((), (1,), Q(1, 4)) == Q(1, 3)  # 1^inf at 1/4
+    assert periodic_value((), (0, 1, 1), Q(1, 2)) == Q(3, 7)  # binary 0.(011)
+    assert periodic_value((1,), (0,), Q(1, 3)) == Q(1, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), max_size=4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    st.fractions(min_value=Fraction(1, 50), max_value=Fraction(1, 4), max_denominator=50),
+)
+def test_periodic_value_bounds_its_truncations(pre, per, lam):
+    # the first n digits fall short of the value by at most 3 * lam^(n+1) / (1 - lam)
+    lam = Q(lam)
+    digits = list(pre) + list(per) * 12
+    value = periodic_value(pre, per, lam)
+    n = len(digits)
+    partial = exact_series(digits, False, 4, lam)
+    assert partial <= value <= partial + 3 * lam ** (n + 1) / (1 - lam)
