@@ -49,7 +49,6 @@ _EXPORTS = {
         "Code",
         "Ordering",
         "Tail",
-        "compare_bracket_values",
         "compare_brackets",
         "eval_pi",
         "refine",

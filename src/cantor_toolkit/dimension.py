@@ -9,7 +9,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from ._rat import Q, to_rational
+from ._rat import Q, to_alphabet, to_rational
 from .coding import GreedyExpansion
 from .errors import DomainError, EmptyWindowError
 from .exact_arith import Bracket, Code, Tail, solve_lambda
@@ -91,6 +91,7 @@ def _fit_slope(levels, grid_depth: int) -> float:
 
 def dimension_of_parameter(m: int, lam: float) -> float:
     """Dimension log m / (-log lam) of the self-similar set at parameter lam."""
+    m = to_alphabet(m)
     if not 0 < lam <= 1 / m:
         raise DomainError("lam must lie in (0, 1/m]")
     return math.log(m) / -math.log(lam)
@@ -143,8 +144,9 @@ def sft_count(m: int, k: int, n: int) -> ZeroRunCount:
 
     Dynamic program over the trailing-zero run length (k states).
     """
-    if m < 2 or k < 1 or n < 1:
-        raise DomainError("need m >= 2, k >= 1, n >= 1")
+    m = to_alphabet(m)
+    if k < 1 or n < 1:
+        raise DomainError("need k >= 1, n >= 1")
     counts = _zero_run_counts(m, k, n)
     r = min(8, n - 1)
     if r >= 1 and counts[n - r] > 0:
@@ -188,8 +190,9 @@ def gamma_j(x, m: int, j: int, tol=None) -> Bracket:
 def dim_lower_formula(m: int, k: int, gamma: float) -> float:
     """Dimension lower bound ((k-1) log m + log(m-1)) / (-k log gamma) for
     parameter windows [gamma, 1/m) restricted to k-bounded zero runs."""
-    if m < 2 or k < 1:
-        raise DomainError("need m >= 2, k >= 1")
+    m = to_alphabet(m)
+    if k < 1:
+        raise DomainError("need k >= 1")
     if not 0 < gamma < 1:
         raise DomainError("gamma must lie in (0, 1)")
     return ((k - 1) * math.log(m) + math.log(m - 1)) / (-k * math.log(gamma))

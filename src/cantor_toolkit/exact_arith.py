@@ -460,79 +460,54 @@ def refine_until(holds, *brackets):
 # bracket comparison
 
 
-def _check_comparable(a: Bracket, b: Bracket):
-    if a.m != b.m:
-        raise DomainError("brackets defined over different alphabets")
-    if a.x != b.x:
-        raise DomainError("brackets defined over different points; compare values instead")
+def compare_brackets(a: Bracket, b: Bracket, max_steps: int = SEPARATION_CAP) -> Ordering | None:
+    """Certified order of two bracketed parameters, or None when `max_steps`
+    refinements leave it undecided.
 
-
-def compare_brackets(a: Bracket, b: Bracket, max_steps: int = SEPARATION_CAP) -> Ordering:
-    """Certified order of the two bracketed parameters (same defining point).
-
-    Equality is decided symbolically: identical canonical codes name the
-    same parameter, and distinct codes never do (the coding map is
-    injective), so refinement of distinct codes always terminates in a
-    strict order.
+    Brackets of one point (same x and alphabet) with equal canonical codes
+    name the same parameter, and distinct codes of one point never do (the
+    coding map is injective), so for them touching ends already decide.
+    Brackets of different points decide only on strictly disjoint ends, and
+    two exact brackets of one value compare EQUAL.
     """
-    _check_comparable(a, b)
-    if a.code.canonical() == b.code.canonical():
+    one_point = a.x == b.x and a.m == b.m
+    if one_point and a.code.canonical() == b.code.canonical():
         return Ordering.EQUAL
-    if a.is_exact and b.is_exact:
-        # Exact equality of two pinned values is still certified arithmetic;
-        # it arises only when a capped hull endpoint meets a solved root.
-        if a.lo == b.lo:
-            return Ordering.EQUAL
-        return Ordering.LESS if a.lo < b.lo else Ordering.GREATER
-    # Distinct roots: touching brackets already decide the order.
-    return _separate(a, b, max_steps, allow_touching=True)[0]
-
-
-def compare_bracket_values(a: Bracket, b: Bracket, max_steps: int = SEPARATION_CAP) -> Ordering:
-    """Certified order of two bracketed values from unrelated equations.
-
-    Unlike compare_brackets this cannot rule out genuine equality, so only
-    strictly disjoint brackets decide; two exact equal values compare
-    EQUAL.  Raises PrecisionExhaustedError when the values cannot be
-    separated within the cap (they may coincide).
-    """
-    if a.is_exact and b.is_exact:
-        if a.lo == b.lo:
-            return Ordering.EQUAL
-        return Ordering.LESS if a.lo < b.lo else Ordering.GREATER
-    return _separate(a, b, max_steps, allow_touching=False)[0]
+    if a.is_exact and b.is_exact and a.lo == b.lo:
+        # within one point, only where a capped hull endpoint meets a solved root
+        return Ordering.EQUAL
+    return _separate(a, b, max_steps, touching=one_point)[0]
 
 
 def _separate(
-    a: Bracket, b: Bracket, max_steps: int, allow_touching: bool
-) -> tuple[Ordering, Bracket, Bracket]:
-    for _ in range(max_steps + 1):
-        if allow_touching:
-            if a.hi <= b.lo:
-                return Ordering.LESS, a, b
-            if b.hi <= a.lo:
-                return Ordering.GREATER, a, b
-        else:
-            if a.hi < b.lo:
-                return Ordering.LESS, a, b
-            if b.hi < a.lo:
-                return Ordering.GREATER, a, b
+    a: Bracket, b: Bracket, max_steps: int, touching: bool
+) -> tuple[Ordering | None, Bracket, Bracket]:
+    """Refine the wider bracket up to `max_steps` times until the two are
+    disjoint, or touch if `touching`: (the order or None, refined a, b)."""
+    for step in range(max_steps + 1):
+        if step:
+            # shrink the wider side first; exact brackets cannot shrink
+            if b.is_exact or (not a.is_exact and a.width >= b.width):
+                a = refine(a)
+            else:
+                b = refine(b)
+        if a.hi < b.lo or (touching and a.hi == b.lo):
+            return Ordering.LESS, a, b
+        if b.hi < a.lo or (touching and b.hi == a.lo):
+            return Ordering.GREATER, a, b
         if a.is_exact and b.is_exact:
             break
-        # shrink the wider side first; exact brackets cannot shrink
-        if b.is_exact or (not a.is_exact and a.width >= b.width):
-            a = refine(a)
-        else:
-            b = refine(b)
-    raise PrecisionExhaustedError(
-        "could not separate brackets for %s and %s within %d refinements"
-        % (a.code.describe(), b.code.describe(), max_steps)
-    )
+    return None, a, b
 
 
 def separate_brackets(a: Bracket, b: Bracket) -> tuple[Bracket, Bracket]:
     """Refine until a.hi < b.lo, returning the refined pair (a must precede b)."""
-    order, a, b = _separate(a, b, SEPARATION_CAP, allow_touching=False)
+    order, a, b = _separate(a, b, SEPARATION_CAP, touching=False)
+    if order is None:
+        raise PrecisionExhaustedError(
+            "could not separate brackets for %s and %s within %d refinements"
+            % (a.code.describe(), b.code.describe(), SEPARATION_CAP)
+        )
     if order is not Ordering.LESS:
         raise DomainError("brackets are not in the expected order")
     return a, b

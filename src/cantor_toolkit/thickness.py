@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Q, to_rational
+from ._rat import Q, to_alphabet, to_rational
 from .coding import GreedyExpansion
 from .errors import DomainError, PrecisionExhaustedError
 from .exact_arith import (
@@ -24,7 +24,6 @@ from .exact_arith import (
     Code,
     Ordering,
     Tail,
-    compare_bracket_values,
     compare_brackets,
     eval_pi,
     refine_until,
@@ -285,6 +284,7 @@ def theta_sequence(x, m: int, count: int, tol=None) -> list[ThetaEntry]:
 
 def size_ratio_bound(m: int, first_nonzero: int) -> Q:
     """Eventual bound (2m)^(l+1)/(m-1) on consecutive hull size ratios."""
+    m = to_alphabet(m)
     return Q((2 * m) ** (first_nonzero + 1), m - 1)
 
 
@@ -386,36 +386,27 @@ def meets_thickness_threshold(tau: Q) -> bool:
 INSIDE_BUDGET = 128
 
 
-def _certified_inside(e: Bracket, hull: BasicInterval, same_point: bool) -> bool:
+def _certified_inside(e: Bracket, hull: BasicInterval) -> bool:
     """Certify hull.left <= e <= hull.right by bracket comparison.
 
-    For endpoints of the same parameter set, code identity decides the
+    For endpoints of one parameter set, code identity decides the
     closed-endpoint cases; across different points only strict separation
-    certifies, and unresolved candidates are simply skipped by the caller.
+    certifies.  An undecided comparison is not a certificate, and the caller
+    skips the candidate.
     """
-    try:
-        if same_point:
-            lo = compare_brackets(e, hull.left, INSIDE_BUDGET)
-            if lo is Ordering.LESS:
-                return False
-            hi = compare_brackets(e, hull.right, INSIDE_BUDGET)
-            return hi in (Ordering.LESS, Ordering.EQUAL)
-        lo = compare_bracket_values(e, hull.left, INSIDE_BUDGET)
-        if lo is not Ordering.GREATER:
-            return False
-        hi = compare_bracket_values(e, hull.right, INSIDE_BUDGET)
-        return hi is Ordering.LESS
-    except PrecisionExhaustedError:
+    lo = compare_brackets(e, hull.left, INSIDE_BUDGET)
+    if lo not in (Ordering.GREATER, Ordering.EQUAL):
         return False
+    return compare_brackets(e, hull.right, INSIDE_BUDGET) in (Ordering.LESS, Ordering.EQUAL)
 
 
 def _witness_inside(
-    sys_a: EkSystem, sys_b: EkSystem, depth: int, tol, same_point: bool
+    sys_a: EkSystem, sys_b: EkSystem, depth: int, tol
 ) -> Optional[EndpointWitness]:
     for word in itertools.product(range(sys_a.m - 1, -1, -1), repeat=depth):
         iv = ek_basic_interval(sys_a, word, tol)
         for side, e in (("left", iv.left), ("right", iv.right)):
-            if _certified_inside(e, sys_b.hull, same_point):
+            if _certified_inside(e, sys_b.hull):
                 return EndpointWitness(k=sys_a.k, word=word, side=side, bracket=e)
     return None
 
@@ -426,17 +417,10 @@ DISJOINT_BUDGET = 24
 
 
 def _hulls_certified_disjoint(a: EkSystem, b: EkSystem) -> bool:
-    try:
-        if compare_bracket_values(a.hull.right, b.hull.left, DISJOINT_BUDGET) is Ordering.LESS:
-            return True
-    except PrecisionExhaustedError:
-        pass
-    try:
-        if compare_bracket_values(b.hull.right, a.hull.left, DISJOINT_BUDGET) is Ordering.LESS:
-            return True
-    except PrecisionExhaustedError:
-        pass
-    return False
+    return (
+        compare_brackets(a.hull.right, b.hull.left, DISJOINT_BUDGET) is Ordering.LESS
+        or compare_brackets(b.hull.right, a.hull.left, DISJOINT_BUDGET) is Ordering.LESS
+    )
 
 
 def find_interleaved_pairs(
@@ -468,8 +452,8 @@ def find_interleaved_pairs(
             else:
                 if _hulls_certified_disjoint(sx, sy):
                     continue
-                witness_x = _witness_inside(sx, sy, depth, tol, same)
-                witness_y = _witness_inside(sy, sx, depth, tol, same)
+                witness_x = _witness_inside(sx, sy, depth, tol)
+                witness_y = _witness_inside(sy, sx, depth, tol)
                 if witness_x is None or witness_y is None:
                     continue
             tau_min = min(report(sx).tau_empirical, report(sy).tau_empirical)
@@ -496,14 +480,11 @@ def reverify_pair(pair: InterleavePair, x, y, m: int, tol) -> bool:
     """
     x, y = to_rational(x), to_rational(y)
     tol = to_rational(tol)
-    same = x == y
     sx = ek_system(x, m, pair.i, tol)
     sy = ek_system(y, m, pair.j, tol)
     fresh_x = solve_lambda(x, pair.witness_x_in_y.bracket.code, tol)
     fresh_y = solve_lambda(y, pair.witness_y_in_x.bracket.code, tol)
-    return _certified_inside(fresh_x, sy.hull, same) and _certified_inside(
-        fresh_y, sx.hull, same
-    )
+    return _certified_inside(fresh_x, sy.hull) and _certified_inside(fresh_y, sx.hull)
 
 
 def intersection_report(pair: InterleavePair) -> IntersectionReport:

@@ -22,11 +22,15 @@ from cantor_toolkit import (
     admissible_words,
     basic_interval,
     cover,
+    dim_lower_formula,
+    dimension_of_parameter,
     ek_basic_interval,
     ek_system,
     hull_of,
     membership,
     refine,
+    sft_count,
+    size_ratio_bound,
     solve_lambda,
     unique_coding,
 )
@@ -163,6 +167,28 @@ def test_non_integer_alphabet_sizes_are_refused(call):
 def test_alphabets_below_two_are_refused(call, m):
     with pytest.raises(DomainError, match="m must be >= 2"):
         call(m)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sft_count(2.5, 2, 5),
+        lambda: dim_lower_formula(2.5, 2, 0.5),
+        lambda: dimension_of_parameter(1, 0.5),
+        lambda: size_ratio_bound(1, 3),
+        lambda: size_ratio_bound(2.5, 3),
+    ],
+    ids=[
+        "sft_count-2.5",
+        "dim_lower_formula-2.5",
+        "dimension_of_parameter-1",
+        "size_ratio_bound-1",
+        "size_ratio_bound-2.5",
+    ],
+)
+def test_formula_helpers_refuse_bad_alphabet_sizes(call):
+    with pytest.raises(DomainError, match="alphabet size m"):
+        call()
 
 
 def test_interval_for_prefix_refuses_bad_alphabets_and_digits():

@@ -17,7 +17,6 @@ from cantor_toolkit import (
     certify_expansion_separation,
     certify_gap_width_bound,
     certify_interval_width_bound,
-    compare_bracket_values,
     compare_brackets,
     cover,
     ek_hulls,
@@ -28,7 +27,7 @@ from cantor_toolkit import (
 )
 from cantor_toolkit import exact_arith
 from cantor_toolkit._rat import Q
-from cantor_toolkit.exact_arith import CERTIFY_BUDGET, _separate, _sign, refine_until
+from cantor_toolkit.exact_arith import CERTIFY_BUDGET, _sign, refine_until, separate_brackets
 
 from oracles import dyadic_cell, exact_series, float_root, lex_order, simplest_between
 
@@ -425,21 +424,80 @@ def test_compare_equal_is_symbolic_across_paddings():
     assert compare_brackets(a, b) is Ordering.EQUAL
 
 
-def test_compare_requires_same_defining_point():
-    a = solve_lambda(Q(1, 2), code(2, [1, 1]), TOL6)
-    b = solve_lambda(Q(1, 3), code(2, [1, 1]), TOL6)
-    with pytest.raises(DomainError):
-        compare_brackets(a, b)
-    # cross-point value comparison is the supported route
-    assert compare_bracket_values(a, b) in (Ordering.LESS, Ordering.GREATER)
+def test_compare_across_points_is_strict():
+    a = solve_lambda(Q(1, 2), code(2, [1, 1]), TOL6)  # lam + lam^2 = 1/2: 0.366...
+    b = solve_lambda(Q(1, 3), code(2, [1, 1]), TOL6)  # lam + lam^2 = 1/3: 0.263...
+    assert compare_brackets(a, b) is Ordering.GREATER
+    assert compare_brackets(b, a) is Ordering.LESS
+    # across points only two exact brackets of one value are EQUAL
+    e = solve_lambda(Q(3, 8), code(2, [1]), TOL6)
+    f = solve_lambda(Q(3, 8) + Q(9, 64), code(2, [1, 1]), TOL6)
+    assert e.is_exact and f.is_exact and e.lo == f.lo == Q(3, 8)
+    assert compare_brackets(e, f) is Ordering.EQUAL
 
 
-def test_separation_cap_raises():
+def test_touching_ends_decide_only_brackets_of_one_point(sign_tests):
+    x = Q(1, 2)
+    a = solve_lambda(x, code(2, [1, 1]), Q(1, 8))
+    b = solve_lambda(x, code(2, [1, 0], Tail.MAX), Q(1, 8))
+    e = solve_lambda(Q(3, 8), code(2, [1]), TOL6)  # lam = 3/8 exactly
+    assert (a.lo, a.hi, b.lo, b.hi) == (Q(1, 3), Q(3, 8), Q(3, 8), Q(1, 2))
+    assert e.is_exact and e.lo == a.hi
+    sign_tests[0] = 0
+    # distinct codes of one point have distinct roots, so touching decides
+    assert compare_brackets(a, b) is Ordering.LESS
+    assert compare_brackets(b, a) is Ordering.GREATER
+    assert sign_tests[0] == 0
+    # across points the values may coincide at the shared end
+    assert compare_brackets(a, e, 0) is None
+    assert compare_brackets(a, e) is Ordering.LESS
+    assert sign_tests[0] > 0
+
+
+def test_separation_cap_leaves_the_order_undecided(sign_tests):
     x = Q(1, 2)
     a = solve_lambda(x, code(2, [1, 1, 0, 1]), Q(1, 4))
     b = solve_lambda(x, code(2, [1, 1, 0, 0], Tail.MAX), Q(1, 4))
-    with pytest.raises(PrecisionExhaustedError):
-        _separate(a, b, 0, allow_touching=True)
+    sign_tests[0] = 0
+    assert compare_brackets(a, b, 0) is None
+    assert sign_tests[0] == 0  # a budget of 0 refinements makes no sign test
+    assert compare_brackets(a, b, 1) is None
+    assert sign_tests[0] == 1
+    assert compare_brackets(a, b) in (Ordering.LESS, Ordering.GREATER)
+
+
+def test_separate_brackets_raises_when_values_coincide():
+    # lam = 1/3 is the root of lam = 1/3 and of lam^2 = 1/9; no dyadic end
+    # reaches it, so the two brackets never come apart
+    a = solve_lambda(Q(1, 3), code(2, [1]), Q(1, 2**24))
+    b = solve_lambda(Q(1, 9), code(2, [0, 1]), Q(1, 2**24))
+    assert compare_brackets(a, b) is None
+    with pytest.raises(PrecisionExhaustedError, match="within 4096 refinements"):
+        separate_brackets(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes(max_m=3, max_len=5), codes(max_m=3, max_len=5), rationals_01, rationals_01)
+def test_compare_across_points_agrees_with_the_oracle(c1, c2, xf, yf):
+    x, y = Q(xf), Q(yf)
+    assume(not (x == y and c1.m == c2.m))
+    assume(not is_zero_stream(c1) and not is_zero_stream(c2))
+    try:
+        # coarse brackets, so that about a third of the pairs overlap at first
+        a = solve_lambda(x, c1, Q(1, 2**4))
+        b = solve_lambda(y, c2, Q(1, 2**4))
+    except NoRootError:
+        return
+    order = compare_brackets(a, b)
+    if order is Ordering.EQUAL:
+        assert a.is_exact and b.is_exact and a.lo == b.lo
+    (a_lo, a_hi), (b_lo, b_hi) = (
+        dyadic_cell(c, z, Q(1, 2**200)) for c, z in ((c1, x), (c2, y))
+    )
+    if a_hi < b_lo:
+        assert order is Ordering.LESS
+    elif b_hi < a_lo:
+        assert order is Ordering.GREATER
 
 
 def test_refine_shrinks_and_preserves_certificate():

@@ -14,7 +14,8 @@ import cantor_toolkit
 
 # Every public name of the package, with the submodule that defines it, as
 # listed by dir(cantor_toolkit) when the package imported all of them eagerly,
-# less `lex_compare`, which nothing in the package used.
+# less `lex_compare`, which nothing in the package used, and
+# `compare_bracket_values`, which `compare_brackets` replaced.
 EXPORTED = {
     "_rat": ["Q", "dec_str", "dec_to_rational", "rat_str", "to_rational"],
     "coding": [
@@ -31,8 +32,8 @@ EXPORTED = {
         "NoRootError", "NotAdmissibleError", "PrecisionExhaustedError",
     ],
     "exact_arith": [
-        "DEFAULT_TOL", "Bracket", "Code", "Ordering", "Tail", "compare_bracket_values",
-        "compare_brackets", "eval_pi", "refine", "solve_lambda",
+        "DEFAULT_TOL", "Bracket", "Code", "Ordering", "Tail", "compare_brackets", "eval_pi",
+        "refine", "solve_lambda",
     ],
     "lambda_set": [
         "BasicInterval", "CoverLevel", "admissible_words", "basic_interval", "cover",
@@ -96,7 +97,7 @@ def test_cover_loads_neither_thickness_nor_dimension():
 
 
 def test_every_name_is_its_submodule_attribute():
-    assert len(NAMES) == 65
+    assert len(NAMES) == 64
     for module, names in EXPORTED.items():
         owner = importlib.import_module("cantor_toolkit." + module)
         for name in names:
@@ -115,6 +116,7 @@ def test_dir_lists_every_name_and_nothing_else_resolves():
     assert set(NAMES) <= set(dir(cantor_toolkit))
     assert not hasattr(cantor_toolkit, "simplest_between")
     assert not hasattr(cantor_toolkit, "lex_compare")
+    assert not hasattr(cantor_toolkit, "compare_bracket_values")
 
 
 # ---------------------------------------------------------------------------

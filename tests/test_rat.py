@@ -6,6 +6,8 @@ import pytest
 
 from cantor_toolkit._rat import Q, dec_str, dec_to_rational, rat_str, to_rational
 
+from test_namespace import _env
+
 
 def test_to_rational_accepts_exact_forms():
     assert to_rational("3/7") == Q(3, 7)
@@ -66,7 +68,7 @@ assert r.verdict is ct.Verdict.NOT_MEMBER and r.failing_step == 12
 print("blocked-ok")
 """
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert "blocked-ok" in proc.stdout
