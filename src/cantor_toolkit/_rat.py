@@ -4,9 +4,10 @@
 hashable.  Root solving tests signs in plain integer arithmetic and builds
 ``Q`` values only for the brackets it returns.
 
-`to_rational` and `to_alphabet` are where outside numbers enter the
-package: public entry points pass their rational arguments and alphabet
-sizes through them once, and the code below them trusts what they return.
+`to_rational`, `to_alphabet` and `to_int` are where outside numbers enter
+the package: public entry points pass their rational arguments, alphabet
+sizes and counts through them once, and the code below them trusts what
+they return.
 """
 
 from __future__ import annotations
@@ -45,13 +46,18 @@ def to_rational(value) -> "Q":
     raise TypeError("cannot interpret %r as an exact rational" % (value,))
 
 
-def to_alphabet(m) -> int:
-    """`m` as an int >= 2 (``operator.index``: floats are refused, not
-    truncated), or DomainError."""
+def to_int(value, name: str) -> int:
+    """`value` as an int (``operator.index``: floats and strings are
+    refused, not truncated), or DomainError naming it `name`."""
     try:
-        m = operator.index(m)
+        return operator.index(value)
     except TypeError:
-        raise DomainError("alphabet size m %r is not an integer" % (m,)) from None
+        raise DomainError("%s %r is not an integer" % (name, value)) from None
+
+
+def to_alphabet(m) -> int:
+    """`m` as an int >= 2 (see `to_int`), or DomainError."""
+    m = to_int(m, "alphabet size m")
     if m < 2:
         raise DomainError("alphabet size m must be >= 2, got %r" % (m,))
     return m

@@ -13,10 +13,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
-from ._rat import Q, to_alphabet, to_rational
+from ._rat import Q, to_alphabet, to_int, to_rational
 from .errors import DomainError, NoRootError, PrecisionExhaustedError
 
 #: Default bracket width for solved parameters; callers refine on demand
@@ -133,10 +132,7 @@ class Code:
 
 def _digit(d, m: int) -> int:
     """`d` as an int in 0..m-1, or DomainError."""
-    try:
-        d = operator.index(d)
-    except TypeError:
-        raise DomainError("digit %r is not an integer" % (d,)) from None
+    d = to_int(d, "digit")
     if not 0 <= d < m:
         raise DomainError("digit %r outside 0..%d" % (d, m - 1))
     return d
@@ -157,7 +153,7 @@ class Bracket:
     ``Bracket(lo, hi, code, x)`` is the checked constructor: it refuses
     lo > hi and ends outside (0, 1/m].  ``Bracket._of`` is the trusted
     one, used only where the ends are in range by construction: the
-    solver's returns (see `_solve_cached`), `refine`, and the capped end
+    solver's returns (see `_Grid.solve`), `refine`, and the capped end
     1/m of a basic interval on the greedy spine.
     """
 
@@ -350,78 +346,117 @@ def solve_lambda(x, code: Code, tol=None) -> Bracket:
         raise DomainError("cannot solve against a truncated code")
     if canon.tail is Tail.ZERO and not canon.prefix:
         raise NoRootError("the zero code names only the point 0")
-    return _solve_cached(x, canon, tol)
+    return _grid(x, canon.m, tol).root(canon)
 
 
-# Reuse: 3,370 of 5,560 solve lookups in `intersect --kmax 12` hit.
-@functools.lru_cache(maxsize=1 << 16)
-def _solve_cached(x, code: Code, tol) -> Bracket:
-    """The bracket of `solve_lambda`, for its checked x, canonical code and tol.
+#: Grids cached, and brackets one grid stores: at most 2^16 in all.
+GRIDS, GRID_ENTRIES = 8, 1 << 13
 
-    Every return builds its bracket with `Bracket._of`: each end is 1/m,
-    the hull end x/(m-1+x), or a grid point c/2^k with gl <= c <= gh, and
-    every grid end is clamped to [gl, gh] and cut back to the hull ends;
-    so 0 < lo <= hi <= 1/m holds by construction.
+
+class _Grid:
+    """The solver for one checked (x, m, tol): the constants every solve
+    shares, and `brackets`, each solved canonical code's `Bracket` (None
+    where the series stays below x at 1/m), up to GRID_ENTRIES of them.
+
+    The dict takes no lock: threads racing on one code each solve it, to
+    the same bracket, and either store wins; a race may also store a few
+    brackets past the bound.
     """
-    m = code.m
-    cap = Q(1, m)
-    s = _sign(code, (1, m), x)
-    if s < 0:
-        raise NoRootError(
-            "series of %s reaches only %s at 1/m, below x = %s"
-            % (code.describe(), eval_pi(code, cap), x)
-        )
-    if s == 0:
-        return Bracket._of(cap, cap, code, x)
-    # Every code is dominated by the all-(m-1) stream, whose root
-    # hull_lo = x/(m-1+x) = xn/hd pins a positive lower end of the search.
-    # Below 1/m distinct digit streams take distinct values, so no other
-    # (canonical) code has its root there.
-    xn, xd = x.numerator, x.denominator
-    hd = xn + (m - 1) * xd
-    if code.tail is Tail.MAX and not code.prefix:
-        return Bracket._of(Q(xn, hd), Q(xn, hd), code, x)
-    # 1/m - hull_lo = (m-1)(xd-xn) / (m hd)
-    if (m - 1) * (xd - xn) * tol.denominator <= tol.numerator * m * hd:
-        return Bracket._of(Q(xn, hd), cap, code, x)
-    # Grid 2^-k, the largest power of two <= tol (so k >= 2 here).
-    # gl = floor(hull_lo 2^k) and gh = ceil(2^k/m), so the signs there are
-    # certain and every widening below stops by them; the final bracket is
-    # cut back to the hull, which moves only an end at gl or gh.
-    k = ((tol.denominator - 1) // tol.numerator).bit_length()
-    one = 1 << k
-    gl = xn * one // hd
-    gh = -(-one // m)
-    estimate = _estimate_cell(code, x, k)
-    try:
-        c = math.floor(estimate)
-    except (ValueError, OverflowError):  # nan or infinite
-        c = gl
-    lo_c = min(max(c, gl), gh - 1)
-    hi_c = lo_c + 1
-    step = 1
-    while (s := _sign(code, (lo_c, one), x)) > 0:
-        lo_c, hi_c = max(lo_c - step, gl), lo_c
-        step *= 2
-    if s == 0:
-        return Bracket._of(Q(lo_c, one), Q(lo_c, one), code, x)
-    while (s := _sign(code, (hi_c, one), x)) < 0:
-        lo_c, hi_c = hi_c, min(hi_c + step, gh)
-        step *= 2
-    if s == 0:
-        return Bracket._of(Q(hi_c, one), Q(hi_c, one), code, x)
-    # integer bisection down to the one grid cell that holds the root
-    while hi_c - lo_c > 1:
-        mid = (lo_c + hi_c) // 2
-        s = _sign(code, (mid, one), x)
-        if s == 0:
-            return Bracket._of(Q(mid, one), Q(mid, one), code, x)
+
+    def __init__(self, x, m: int, tol):
+        self.x, self.m, self.cap = x, m, Q(1, m)
+        # Every code is dominated by the all-(m-1) stream, whose root
+        # hull_lo = x/(m-1+x) = xn/hd pins a positive lower end of the search.
+        xn, xd = x.numerator, x.denominator
+        hd = xn + (m - 1) * xd
+        self.hull_lo = Q(xn, hd)
+        # 1/m - hull_lo = (m-1)(xd-xn) / (m hd) is within tol
+        self.whole_hull = (m - 1) * (xd - xn) * tol.denominator <= tol.numerator * m * hd
+        # Grid 2^-k, the largest power of two <= tol (so k >= 2 unless
+        # `whole_hull`); gl = floor(hull_lo 2^k) and gh = ceil(2^k/m), so the
+        # signs there are certain.
+        self.k = ((tol.denominator - 1) // tol.numerator).bit_length()
+        self.one = 1 << self.k
+        self.gl, self.gh = xn * self.one // hd, -(-self.one // m)
+        self.brackets: dict[Code, Bracket | None] = {}
+
+    def root(self, code: Code) -> Bracket:
+        """`bracket`, or NoRootError where it is None."""
+        bracket = self.bracket(code)
+        if bracket is None:
+            raise NoRootError(
+                "series of %s reaches only %s at 1/m, below x = %s"
+                % (code.describe(), eval_pi(code, self.cap), self.x)
+            )
+        return bracket
+
+    def bracket(self, code: Code) -> Bracket | None:
+        """`solve`, stored while the grid has room."""
+        try:
+            return self.brackets[code]
+        except KeyError:
+            bracket = self.solve(code)
+            if len(self.brackets) < GRID_ENTRIES:
+                self.brackets[code] = bracket
+            return bracket
+
+    def solve(self, code: Code) -> Bracket | None:
+        """The bracket of a canonical code with an explicit tail, or None.
+
+        Every return builds its bracket with `Bracket._of`: each end is 1/m,
+        the hull end x/(m-1+x), or a grid point c/2^k with gl <= c <= gh, and
+        every grid end is clamped to [gl, gh] and cut back to the hull ends;
+        so 0 < lo <= hi <= 1/m holds by construction.
+        """
+        x, m, cap = self.x, self.m, self.cap
+        s = _sign(code, (1, m), x)
         if s < 0:
-            lo_c = mid
-        else:
-            hi_c = mid
-    lo = Q(xn, hd) if lo_c == gl else Q(lo_c, one)
-    return Bracket._of(lo, cap if hi_c == gh else Q(hi_c, one), code, x)
+            return None
+        if s == 0:
+            return Bracket._of(cap, cap, code, x)
+        # Below 1/m distinct digit streams take distinct values, so no other
+        # (canonical) code has its root at hull_lo.
+        if code.tail is Tail.MAX and not code.prefix:
+            return Bracket._of(self.hull_lo, self.hull_lo, code, x)
+        if self.whole_hull:
+            return Bracket._of(self.hull_lo, cap, code, x)
+        # Every widening below stops by gl and gh; the final bracket is cut
+        # back to the hull, which moves only an end at gl or gh.
+        one, gl, gh = self.one, self.gl, self.gh
+        estimate = _estimate_cell(code, x, self.k)
+        try:
+            c = math.floor(estimate)
+        except (ValueError, OverflowError):  # nan or infinite
+            c = gl
+        lo_c = min(max(c, gl), gh - 1)
+        hi_c = lo_c + 1
+        step = 1
+        while (s := _sign(code, (lo_c, one), x)) > 0:
+            lo_c, hi_c = max(lo_c - step, gl), lo_c
+            step *= 2
+        if s == 0:
+            return Bracket._of(Q(lo_c, one), Q(lo_c, one), code, x)
+        while (s := _sign(code, (hi_c, one), x)) < 0:
+            lo_c, hi_c = hi_c, min(hi_c + step, gh)
+            step *= 2
+        if s == 0:
+            return Bracket._of(Q(hi_c, one), Q(hi_c, one), code, x)
+        # integer bisection down to the one grid cell that holds the root
+        while hi_c - lo_c > 1:
+            mid = (lo_c + hi_c) // 2
+            s = _sign(code, (mid, one), x)
+            if s == 0:
+                return Bracket._of(Q(mid, one), Q(mid, one), code, x)
+            if s < 0:
+                lo_c = mid
+            else:
+                hi_c = mid
+        lo = self.hull_lo if lo_c == gl else Q(lo_c, one)
+        return Bracket._of(lo, cap if hi_c == gh else Q(hi_c, one), code, x)
+
+
+# Reuse: 3,370 of 5,560 bracket lookups in `intersect --kmax 12` hit, on 2 grids.
+_grid = functools.lru_cache(maxsize=GRIDS)(_Grid)
 
 
 def refine(bracket: Bracket) -> Bracket:

@@ -15,17 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rat import Q, to_alphabet, to_rational
+from ._rat import Q, to_alphabet, to_int, to_rational
 from .coding import GreedyExpansion
-from .errors import DomainError, NoRootError, NotAdmissibleError
-from .exact_arith import (
-    Bracket,
-    Code,
-    Tail,
-    resolve_tol,
-    separate_brackets,
-    solve_lambda,
-)
+from .errors import DomainError, NotAdmissibleError
+from .exact_arith import Bracket, Code, Tail, _grid, resolve_tol, separate_brackets
 
 
 @dataclass(frozen=True)
@@ -100,6 +93,7 @@ def is_admissible(x, m: int, word) -> bool:
 
 def admissible_words(x, m: int, n: int) -> list[tuple[int, ...]]:
     """All admissible words of length n, lexicographically ascending."""
+    n = to_int(n, "n")
     if n < 1:
         raise DomainError("n must be >= 1")
     ge = GreedyExpansion(x, m)
@@ -125,20 +119,24 @@ def _admissible(ge: GreedyExpansion, n: int) -> list[tuple[int, ...]]:
 def interval_for_prefix(x, m: int, prefix, tol=None) -> BasicInterval:
     """Basic interval with endpoint codes prefix+max-tail / prefix+zero-tail.
 
-    Checks x and the word once; its three codes and the capped bracket are
-    then built unchecked from them.
+    Checks x, m, the word and tol once; the interval is then built
+    unchecked from them.
     """
     x = _point(x)
-    prefix = _word_tuple(m, prefix)
-    left = solve_lambda(x, Code._of(m, prefix, Tail.MAX), tol)
-    try:
-        right = solve_lambda(x, Code._of(m, prefix, Tail.ZERO), tol)
-    except NoRootError:
-        # Greedy spine: codings starting with this prefix accumulate at the
+    code = Code(m, tuple(prefix))
+    return _interval(_grid(x, code.m, resolve_tol(tol)), code.prefix)
+
+
+def _interval(grid, word: tuple[int, ...]) -> BasicInterval:
+    """The basic interval of a checked word, built unchecked on `grid`."""
+    m = grid.m
+    left = grid.root(Code._of(m, word, Tail.MAX).canonical())
+    right = grid.bracket(Code._of(m, word, Tail.ZERO).canonical())
+    if right is None:
+        # Greedy spine: codings starting with this word accumulate at the
         # hull maximum, reached by the greedy coding itself.
-        cap = Q(1, m)
-        right = Bracket._of(cap, cap, Code._of(m, prefix, Tail.TRUNCATED), x)
-    return BasicInterval(prefix, left, right)
+        right = Bracket._of(grid.cap, grid.cap, Code._of(m, word, Tail.TRUNCATED), grid.x)
+    return BasicInterval(word, left, right)
 
 
 def basic_interval(x, m: int, word, tol=None) -> BasicInterval:
@@ -159,14 +157,17 @@ def cover(x, m: int, depth: int, tol=None) -> CoverLevel:
     """
     x = to_rational(x)
     tol = resolve_tol(tol)
+    depth = to_int(depth, "depth")
     ge = GreedyExpansion(x, m)
+    m = ge.m
     ell = ge.first_defect
     if depth < ell:
         raise DomainError(
             "cover depth %d is below the first defect level %d" % (depth, ell)
         )
+    grid = _grid(x, m, tol)
     # ascending parameter order is descending word order
-    intervals = [interval_for_prefix(x, m, w, tol) for w in reversed(_admissible(ge, depth))]
+    intervals = [_interval(grid, w) for w in reversed(_admissible(ge, depth))]
     intervals, gaps = _separate_adjacent(intervals)
     return CoverLevel(
         x=x,
@@ -174,13 +175,14 @@ def cover(x, m: int, depth: int, tol=None) -> CoverLevel:
         depth=depth,
         intervals=tuple(intervals),
         gaps=tuple(gaps),
-        hull=hull_of(x, m),
+        hull=(grid.hull_lo, grid.cap),
     )
 
 
 def cover_sequence(x, m: int, depth: int, tol=None) -> list[CoverLevel]:
     """Covers for every level from the first defect through `depth`."""
     x = to_rational(x)
+    depth = to_int(depth, "depth")
     ell = GreedyExpansion(x, m).first_defect
     # below the first defect the one level asked for is `cover`'s refusal
     return [cover(x, m, n, tol) for n in range(min(ell, depth), depth + 1)]

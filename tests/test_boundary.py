@@ -22,6 +22,7 @@ from cantor_toolkit import (
     admissible_words,
     basic_interval,
     cover,
+    cover_sequence,
     dim_lower_formula,
     dimension_of_parameter,
     ek_basic_interval,
@@ -150,6 +151,21 @@ def test_entry_points_refuse_x_outside_the_unit_interval(call, x):
     ],
 )
 def test_non_integer_alphabet_sizes_are_refused(call):
+    with pytest.raises(DomainError, match="is not an integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cover(Q(1, 2), 2, 3.5),
+        lambda: cover(Q(1, 2), 2, "3"),
+        lambda: cover_sequence(Q(1, 2), 2, 3.5),
+        lambda: admissible_words(Q(1, 2), 2, "3"),
+    ],
+    ids=["cover-3.5", "cover-str", "cover_sequence-3.5", "admissible_words-str"],
+)
+def test_non_integer_word_lengths_are_refused(call):
     with pytest.raises(DomainError, match="is not an integer"):
         call()
 

@@ -7,6 +7,8 @@ at most once within one interleave search.
 """
 
 import collections
+import sys
+import threading
 
 import pytest
 
@@ -57,14 +59,59 @@ def test_non_positive_tol_rejected(name, tol):
         ENTRY_POINTS[name](tol)
 
 
-def test_cover_is_rebuilt_from_cached_roots():
+def counted(monkeypatch, owner, name, calls):
+    """Replace `owner.name` by a spy counting its calls in `calls[name]`."""
+    real = getattr(owner, name)
+
+    def spy(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def test_cover_is_rebuilt_from_cached_roots(monkeypatch):
     tol = Q(1, 2**40)
-    exact_arith._solve_cached.cache_clear()
+    exact_arith._grid.cache_clear()
+    solves = collections.Counter()
+    counted(monkeypatch, exact_arith._Grid, "solve", solves)
     first = cover(X, 2, 10, tol)
-    assert exact_arith._solve_cached.cache_info().misses == 1024
+    assert solves["solve"] == 1024
     second = cover(X, 2, 10, tol)
-    assert exact_arith._solve_cached.cache_info().misses == 1024
+    assert solves["solve"] == 1024
     assert second == first
+
+
+def test_threads_sharing_a_cold_grid_build_the_same_cover():
+    # the grid's dict takes no lock: a race may solve a code twice, but
+    # every thread must still see the single-threaded brackets
+    tol = Q(1, 2**40)
+    exact_arith._grid.cache_clear()
+    expected = cover(X, 2, 8, tol)
+    exact_arith._grid.cache_clear()
+    results, errors = [], []
+
+    def work():
+        try:
+            for _ in range(3):
+                results.append(cover(X, 2, 8, tol))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 18 and all(r == expected for r in results)
+    assert len(exact_arith._grid(X, 2, tol).brackets) == 2 * len(expected.intervals)
 
 
 def test_interleave_search_builds_each_report_once(monkeypatch):
@@ -106,19 +153,11 @@ def test_readme_command_builds_one_hull_chain_per_point(
     argv, chains, reports, sign_tests, monkeypatch, capsys
 ):
     # cold roots and chains, so the sign tests are the command's whole work
-    exact_arith._solve_cached.cache_clear()
+    exact_arith._grid.cache_clear()
     thickness._ek_hulls_cached.cache_clear()
     calls = collections.Counter()
-
-    def counted(name, real):
-        def spy(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return spy
-
     for module, name in ((exact_arith, "_sign"), (thickness, "tau_report")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        counted(monkeypatch, module, name, calls)
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().err == ""
     assert thickness._ek_hulls_cached.cache_info().misses == chains
