@@ -349,66 +349,60 @@ def solve_lambda(x, code: Code, tol=None) -> Bracket:
     return _grid(x, canon.m, tol).root(canon)
 
 
-#: Grids cached, and brackets one grid stores: at most 2^16 in all.
-GRIDS, GRID_ENTRIES = 8, 1 << 13
+def _hull(x, m: int) -> tuple[Q, Q]:
+    """The hull [x/(m-1+x), 1/m] of the roots, for a checked x and m: every
+    code is dominated by the all-(m-1) stream, whose root is x/(m-1+x)."""
+    return x / (m - 1 + x), Q(1, m)
 
 
 class _Grid:
-    """The solver for one checked (x, m, tol): the constants every solve
-    shares, and `brackets`, each solved canonical code's `Bracket` (None
-    where the series stays below x at 1/m), up to GRID_ENTRIES of them.
-
-    The dict takes no lock: threads racing on one code each solve it, to
-    the same bracket, and either store wins; a race may also store a few
-    brackets past the bound.
-    """
+    """The solver for one checked (x, m, tol) and the constants its solves
+    share; `_bracket` caches its brackets by (grid identity, code)."""
 
     def __init__(self, x, m: int, tol):
-        self.x, self.m, self.cap = x, m, Q(1, m)
-        # Every code is dominated by the all-(m-1) stream, whose root
-        # hull_lo = x/(m-1+x) = xn/hd pins a positive lower end of the search.
-        xn, xd = x.numerator, x.denominator
-        hd = xn + (m - 1) * xd
-        self.hull_lo = Q(xn, hd)
-        # 1/m - hull_lo = (m-1)(xd-xn) / (m hd) is within tol
-        self.whole_hull = (m - 1) * (xd - xn) * tol.denominator <= tol.numerator * m * hd
+        self.x, self.m = x, m
+        self.hull = hull_lo, cap = _hull(x, m)
+        self.whole_hull = cap - hull_lo <= tol
         # Grid 2^-k, the largest power of two <= tol (so k >= 2 unless
         # `whole_hull`); gl = floor(hull_lo 2^k) and gh = ceil(2^k/m), so the
         # signs there are certain.
         self.k = ((tol.denominator - 1) // tol.numerator).bit_length()
         self.one = 1 << self.k
-        self.gl, self.gh = xn * self.one // hd, -(-self.one // m)
-        self.brackets: dict[Code, Bracket | None] = {}
+        self.gl, self.gh = math.floor(hull_lo * self.one), -(-self.one // m)
 
     def root(self, code: Code) -> Bracket:
-        """`bracket`, or NoRootError where it is None."""
-        bracket = self.bracket(code)
+        """The bracket of a canonical code with an explicit tail, or NoRootError."""
+        bracket = _bracket(self, code)
         if bracket is None:
             raise NoRootError(
                 "series of %s reaches only %s at 1/m, below x = %s"
-                % (code.describe(), eval_pi(code, self.cap), self.x)
+                % (code.describe(), eval_pi(code, self.hull[1]), self.x)
             )
         return bracket
 
-    def bracket(self, code: Code) -> Bracket | None:
-        """`solve`, stored while the grid has room."""
-        try:
-            return self.brackets[code]
-        except KeyError:
-            bracket = self.solve(code)
-            if len(self.brackets) < GRID_ENTRIES:
-                self.brackets[code] = bracket
-            return bracket
+    def endpoints(self, word: tuple[int, ...]) -> tuple[Bracket, Bracket]:
+        """The end brackets of the basic interval of a checked word: the
+        roots of word+max-tail and word+zero-tail."""
+        m, cap = self.m, self.hull[1]
+        left = self.root(Code._of(m, word, Tail.MAX).canonical())
+        right = _bracket(self, Code._of(m, word, Tail.ZERO).canonical())
+        if right is None:
+            # Greedy spine: codings starting with this word accumulate at the
+            # hull maximum, reached by the greedy coding itself.
+            right = Bracket._of(cap, cap, Code._of(m, word, Tail.TRUNCATED), self.x)
+        return left, right
 
     def solve(self, code: Code) -> Bracket | None:
-        """The bracket of a canonical code with an explicit tail, or None.
+        """The bracket of a canonical code with an explicit tail, or None
+        where the series stays below x at 1/m.
 
         Every return builds its bracket with `Bracket._of`: each end is 1/m,
         the hull end x/(m-1+x), or a grid point c/2^k with gl <= c <= gh, and
         every grid end is clamped to [gl, gh] and cut back to the hull ends;
         so 0 < lo <= hi <= 1/m holds by construction.
         """
-        x, m, cap = self.x, self.m, self.cap
+        x, m = self.x, self.m
+        hull_lo, cap = self.hull
         s = _sign(code, (1, m), x)
         if s < 0:
             return None
@@ -417,9 +411,9 @@ class _Grid:
         # Below 1/m distinct digit streams take distinct values, so no other
         # (canonical) code has its root at hull_lo.
         if code.tail is Tail.MAX and not code.prefix:
-            return Bracket._of(self.hull_lo, self.hull_lo, code, x)
+            return Bracket._of(hull_lo, hull_lo, code, x)
         if self.whole_hull:
-            return Bracket._of(self.hull_lo, cap, code, x)
+            return Bracket._of(hull_lo, cap, code, x)
         # Every widening below stops by gl and gh; the final bracket is cut
         # back to the hull, which moves only an end at gl or gh.
         one, gl, gh = self.one, self.gl, self.gh
@@ -451,12 +445,17 @@ class _Grid:
                 lo_c = mid
             else:
                 hi_c = mid
-        lo = self.hull_lo if lo_c == gl else Q(lo_c, one)
+        lo = hull_lo if lo_c == gl else Q(lo_c, one)
         return Bracket._of(lo, cap if hi_c == gh else Q(hi_c, one), code, x)
 
 
-# Reuse: 3,370 of 5,560 bracket lookups in `intersect --kmax 12` hit, on 2 grids.
-_grid = functools.lru_cache(maxsize=GRIDS)(_Grid)
+# One bound for all grids: at most 2^16 brackets, least recently used out.
+# Threads that miss one code at once each solve it, to the same bracket.
+# Reuse: 3,370 of 5,560 bracket lookups in `intersect --kmax 12` hit.
+_bracket = functools.lru_cache(maxsize=1 << 16)(_Grid.solve)
+# A rebuilt grid misses its old brackets. 12 grids keep every reuse over 30
+# analysis-warm point pairs; 8 lose 40 of the first 2,498 hits.
+_grid = functools.lru_cache(maxsize=64)(_Grid)
 
 
 def refine(bracket: Bracket) -> Bracket:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ._rat import Q, to_alphabet, to_int, to_rational
 from .coding import GreedyExpansion
 from .errors import DomainError, NotAdmissibleError
-from .exact_arith import Bracket, Code, Tail, _grid, resolve_tol, separate_brackets
+from .exact_arith import Bracket, Code, _grid, _hull, resolve_tol, separate_brackets
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def hull_of(x, m: int) -> tuple[Q, Q]:
     """Exact convex hull [x/(m-1+x), 1/m] of the parameter set."""
     x = _point(x)
     m = to_alphabet(m)
-    return (x / (m - 1 + x), Q(1, m))
+    return _hull(x, m)
 
 
 def _point(x) -> Q:
@@ -123,20 +123,9 @@ def interval_for_prefix(x, m: int, prefix, tol=None) -> BasicInterval:
     unchecked from them.
     """
     x = _point(x)
-    code = Code(m, tuple(prefix))
-    return _interval(_grid(x, code.m, resolve_tol(tol)), code.prefix)
-
-
-def _interval(grid, word: tuple[int, ...]) -> BasicInterval:
-    """The basic interval of a checked word, built unchecked on `grid`."""
-    m = grid.m
-    left = grid.root(Code._of(m, word, Tail.MAX).canonical())
-    right = grid.bracket(Code._of(m, word, Tail.ZERO).canonical())
-    if right is None:
-        # Greedy spine: codings starting with this word accumulate at the
-        # hull maximum, reached by the greedy coding itself.
-        right = Bracket._of(grid.cap, grid.cap, Code._of(m, word, Tail.TRUNCATED), grid.x)
-    return BasicInterval(word, left, right)
+    word = _word_tuple(m, prefix)
+    grid = _grid(x, to_alphabet(m), resolve_tol(tol))
+    return BasicInterval(word, *grid.endpoints(word))
 
 
 def basic_interval(x, m: int, word, tol=None) -> BasicInterval:
@@ -167,7 +156,7 @@ def cover(x, m: int, depth: int, tol=None) -> CoverLevel:
         )
     grid = _grid(x, m, tol)
     # ascending parameter order is descending word order
-    intervals = [_interval(grid, w) for w in reversed(_admissible(ge, depth))]
+    intervals = [BasicInterval(w, *grid.endpoints(w)) for w in reversed(_admissible(ge, depth))]
     intervals, gaps = _separate_adjacent(intervals)
     return CoverLevel(
         x=x,
@@ -175,7 +164,7 @@ def cover(x, m: int, depth: int, tol=None) -> CoverLevel:
         depth=depth,
         intervals=tuple(intervals),
         gaps=tuple(gaps),
-        hull=(grid.hull_lo, grid.cap),
+        hull=grid.hull,
     )
 
 

@@ -70,25 +70,33 @@ def counted(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, spy)
 
 
-def test_cover_is_rebuilt_from_cached_roots(monkeypatch):
+def test_cover_is_rebuilt_from_cached_roots():
     tol = Q(1, 2**40)
-    exact_arith._grid.cache_clear()
-    solves = collections.Counter()
-    counted(monkeypatch, exact_arith._Grid, "solve", solves)
+    exact_arith._bracket.cache_clear()
     first = cover(X, 2, 10, tol)
-    assert solves["solve"] == 1024
+    assert exact_arith._bracket.cache_info().misses == 1024
     second = cover(X, 2, 10, tol)
-    assert solves["solve"] == 1024
+    assert exact_arith._bracket.cache_info().misses == 1024
     assert second == first
 
 
+def test_deep_cover_sequence_solves_each_code_once():
+    # 19,669 codes (the greedy spine's rootless ones included), past 2^13,
+    # all in one bound shared by every grid: none is solved twice
+    exact_arith._bracket.cache_clear()
+    first = cover_sequence(Y, 2, 14)
+    assert exact_arith._bracket.cache_info().misses == 19669
+    assert cover_sequence(Y, 2, 14) == first
+    assert exact_arith._bracket.cache_info().misses == 19669
+
+
 def test_threads_sharing_a_cold_grid_build_the_same_cover():
-    # the grid's dict takes no lock: a race may solve a code twice, but
-    # every thread must still see the single-threaded brackets
+    # a race may solve a code twice, but every thread must still see the
+    # single-threaded brackets
     tol = Q(1, 2**40)
-    exact_arith._grid.cache_clear()
+    exact_arith._bracket.cache_clear()
     expected = cover(X, 2, 8, tol)
-    exact_arith._grid.cache_clear()
+    exact_arith._bracket.cache_clear()
     results, errors = [], []
 
     def work():
@@ -111,7 +119,7 @@ def test_threads_sharing_a_cold_grid_build_the_same_cover():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(results) == 18 and all(r == expected for r in results)
-    assert len(exact_arith._grid(X, 2, tol).brackets) == 2 * len(expected.intervals)
+    assert exact_arith._bracket.cache_info().currsize == 2 * len(expected.intervals)
 
 
 def test_interleave_search_builds_each_report_once(monkeypatch):
@@ -153,7 +161,7 @@ def test_readme_command_builds_one_hull_chain_per_point(
     argv, chains, reports, sign_tests, monkeypatch, capsys
 ):
     # cold roots and chains, so the sign tests are the command's whole work
-    exact_arith._grid.cache_clear()
+    exact_arith._bracket.cache_clear()
     thickness._ek_hulls_cached.cache_clear()
     calls = collections.Counter()
     for module, name in ((exact_arith, "_sign"), (thickness, "tau_report")):

@@ -287,7 +287,7 @@ def test_solve_returns_the_exact_bisection_cell(case):
 def cold_solves():
     yield
     # leave no bracket solved under a patched estimator in the cache
-    exact_arith._grid.cache_clear()
+    exact_arith._bracket.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -306,14 +306,14 @@ def test_wrong_float_seed_still_certifies(monkeypatch, cold_solves, c, x):
     # below the grid's lower end, above its upper end, and not finite
     seeds += [-1.0, 1.0, math.nan, math.inf, -math.inf]
     for tol in (Q(1, 2**40), Q(1, 2**64), Q(1, 10**6)):
-        exact_arith._grid.cache_clear()
+        exact_arith._bracket.cache_clear()
         usual = solve_lambda(x, c, tol)
         for seed in seeds:
             # the hook estimates root * 2^k; seed it with the point `seed`
             monkeypatch.setattr(
                 exact_arith, "_estimate_cell", lambda code, x, k, seed=seed: seed * 2**k
             )
-            exact_arith._grid.cache_clear()
+            exact_arith._bracket.cache_clear()
             b = solve_lambda(x, c, tol)
             assert eval_pi(b.code, b.lo) <= x <= eval_pi(b.code, b.hi)
             assert b.width <= tol
@@ -339,43 +339,25 @@ def counted(monkeypatch, owner, name):
 @pytest.fixture
 def sign_tests(monkeypatch):
     """Cold solves, with every call of the sign kernel counted."""
-    exact_arith._grid.cache_clear()
+    exact_arith._bracket.cache_clear()
     yield counted(monkeypatch, exact_arith, "_sign")
-    exact_arith._grid.cache_clear()
+    exact_arith._bracket.cache_clear()
 
 
-@pytest.fixture
-def solves(monkeypatch):
-    """Cold grids, with every solve (a bracket-cache miss) counted."""
-    exact_arith._grid.cache_clear()
-    yield counted(monkeypatch, exact_arith._Grid, "solve")
-    exact_arith._grid.cache_clear()
-
-
-def test_sign_tests_of_cold_covers_are_pinned(sign_tests, solves):
+def test_sign_tests_of_cold_covers_are_pinned(sign_tests):
     cover(Q(1, 2), 2, 10, Q(1, 2**40))
-    assert solves[0] == 1024
+    assert exact_arith._bracket.cache_info().misses == 1024
     assert sign_tests[0] == 3068
-    exact_arith._grid.cache_clear()
-    sign_tests[0] = solves[0] = 0
+    exact_arith._bracket.cache_clear()
+    sign_tests[0] = 0
     cover(Q(1, 2), 2, 14)
-    assert solves[0] == 16384
+    assert exact_arith._bracket.cache_info().misses == 16384
     assert sign_tests[0] == 49148  # 3.00 per solve
 
 
-def test_cached_brackets_are_bounded_by_2_pow_16(solves, monkeypatch):
-    tol = Q(1, 2**40)
-    assert exact_arith._grid.cache_info().maxsize * exact_arith.GRID_ENTRIES == 1 << 16
-    for p in range(1, 11):  # ten points, so two grids are evicted
-        exact_arith._grid(Q(p, 11), 2, tol)
-    assert exact_arith._grid.cache_info().currsize == 8
-    # a full grid still solves, but stores nothing more
-    monkeypatch.setattr(exact_arith, "GRID_ENTRIES", 8)
-    first = cover(Q(1, 2), 2, 4, tol)  # 16 codes
-    assert solves[0] == 16
-    assert len(exact_arith._grid(Q(1, 2), 2, tol).brackets) == 8
-    assert cover(Q(1, 2), 2, 4, tol) == first
-    assert solves[0] == 24
+def test_cached_brackets_are_bounded_by_2_pow_16():
+    # one bound for the brackets of every grid
+    assert exact_arith._bracket.cache_info().maxsize == 1 << 16
 
 
 @pytest.mark.parametrize("x, m, expected", [(Q(1, 2), 2, 74), (Q(2, 5), 2, 701), (Q(2, 7), 3, 261)])
@@ -402,7 +384,7 @@ def test_cold_solve_at_2_pow_minus_256_makes_at_most_four_sign_tests(sign_tests)
         for b in (iv.left, iv.right):
             if b.code.tail is Tail.TRUNCATED:  # the capped end 1/m is not solved
                 continue
-            exact_arith._grid.cache_clear()
+            exact_arith._bracket.cache_clear()
             before = sign_tests[0]
             fine = solve_lambda(b.x, b.code, tol)
             assert sign_tests[0] - before <= 4
@@ -414,7 +396,7 @@ def test_cold_solve_with_a_root_never_evaluates_a_fraction(monkeypatch, cold_sol
         raise AssertionError("eval_pi called")
 
     monkeypatch.setattr(exact_arith, "eval_pi", no_eval)
-    exact_arith._grid.cache_clear()
+    exact_arith._bracket.cache_clear()
     for c, x in [
         (code(2, [1, 1]), Q(1, 2)),
         (code(2, [1]), Q(1, 2)),  # root at 1/m
@@ -433,7 +415,7 @@ def test_no_root_message_names_the_series_value_at_one_over_m():
 def test_cold_cover_never_evaluates_a_fraction(monkeypatch):
     # 2/5 never terminates, so its greedy spine has 0-tail codes with no root
     evals = counted(monkeypatch, exact_arith, "eval_pi")
-    exact_arith._grid.cache_clear()
+    exact_arith._bracket.cache_clear()
     level = cover(Q(2, 5), 2, 8)
     assert level.intervals[-1].right.code.tail is Tail.TRUNCATED
     assert evals[0] == 0
