@@ -4,10 +4,10 @@
 hashable.  Root solving tests signs in plain integer arithmetic and builds
 ``Q`` values only for the brackets it returns.
 
-`to_rational`, `to_alphabet` and `to_int` are where outside numbers enter
-the package: public entry points pass their rational arguments, alphabet
-sizes and counts through them once, and the code below them trusts what
-they return.
+`to_rational`, `to_point`, `to_alphabet` and `to_int` are where outside
+numbers enter the package: public entry points pass their rational
+arguments, points, alphabet sizes and counts through them once, and the
+code below them trusts what they return.
 """
 
 from __future__ import annotations
@@ -44,6 +44,14 @@ def to_rational(value) -> "Q":
             return Q(int(num), int(den))
         return Q(int(text))
     raise TypeError("cannot interpret %r as an exact rational" % (value,))
+
+
+def to_point(x) -> "Q":
+    """`x` as a Q in (0, 1) (see `to_rational`), or DomainError."""
+    x = to_rational(x)
+    if not 0 < x.numerator < x.denominator:
+        raise DomainError("x must lie in (0, 1)")
+    return x
 
 
 def to_int(value, name: str) -> int:

@@ -192,7 +192,7 @@ def _cmd_thickness(args) -> dict:
     if args.kmax < 0:
         raise ConfigError("kmax must be >= 0")
     systems = thickness.ek_hulls(x, args.m, args.kmax, tol)
-    reports = [thickness.tau_report(s, args.depth, tol) for s in systems]
+    reports = [thickness.tau_report(s, args.depth) for s in systems]
     return output.thickness_payload(x, args.m, systems, reports, args.digits)
 
 

@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Q, to_alphabet, to_rational
+from ._rat import Q, to_alphabet, to_point, to_rational
 from .errors import DomainError, HullViolationError
 
 #: Remainder states tracked for cycle detection before giving up; bounds
@@ -34,13 +34,10 @@ class GreedyExpansion:
     """
 
     def __init__(self, x, m: int):
-        x = to_rational(x)
-        if not 0 < x < 1:
-            raise DomainError("x must lie in (0, 1)")
-        self.x = x
+        self.x = to_point(x)
         self.m = to_alphabet(m)
         self._digits: list[int] = []
-        self._remainder = x  # x scaled into [0,1) after the produced digits
+        self._remainder = self.x  # x scaled into [0,1) after the produced digits
         self._zero_from: Optional[int] = None  # 1-based index of an all-zero tail
         self._lock = threading.Lock()
 

@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._rat import Q, to_alphabet, to_int, to_rational
+from ._rat import Q, to_alphabet, to_int, to_point, to_rational
 from .errors import DomainError, NoRootError, PrecisionExhaustedError
 
 #: Default bracket width for solved parameters; callers refine on demand
@@ -337,9 +337,7 @@ def solve_lambda(x, code: Code, tol=None) -> Bracket:
     cannot reach x by lam = 1/m (the coding does not occur), or when the
     code is identically zero.
     """
-    x = to_rational(x)
-    if not 0 < x.numerator < x.denominator:
-        raise DomainError("x must lie in (0, 1)")
+    x = to_point(x)
     tol = resolve_tol(tol)
     canon = code.canonical()
     if canon.tail is Tail.TRUNCATED:

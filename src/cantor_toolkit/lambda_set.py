@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rat import Q, to_alphabet, to_int, to_rational
+from ._rat import Q, to_alphabet, to_int, to_point, to_rational
 from .coding import GreedyExpansion
 from .errors import DomainError, NotAdmissibleError
 from .exact_arith import Bracket, Code, _grid, _hull, resolve_tol, separate_brackets
@@ -63,17 +63,7 @@ class CoverLevel:
 
 def hull_of(x, m: int) -> tuple[Q, Q]:
     """Exact convex hull [x/(m-1+x), 1/m] of the parameter set."""
-    x = _point(x)
-    m = to_alphabet(m)
-    return _hull(x, m)
-
-
-def _point(x) -> Q:
-    """`x` as a Q in (0, 1), or DomainError."""
-    x = to_rational(x)
-    if not 0 < x.numerator < x.denominator:
-        raise DomainError("x must lie in (0, 1)")
-    return x
+    return _hull(to_point(x), to_alphabet(m))
 
 
 def _word_tuple(m: int, word) -> tuple[int, ...]:
@@ -116,26 +106,16 @@ def _admissible(ge: GreedyExpansion, n: int) -> list[tuple[int, ...]]:
     return level
 
 
-def interval_for_prefix(x, m: int, prefix, tol=None) -> BasicInterval:
-    """Basic interval with endpoint codes prefix+max-tail / prefix+zero-tail.
-
-    Checks x, m, the word and tol once; the interval is then built
-    unchecked from them.
-    """
-    x = _point(x)
-    word = _word_tuple(m, prefix)
-    grid = _grid(x, to_alphabet(m), resolve_tol(tol))
-    return BasicInterval(word, *grid.endpoints(word))
-
-
 def basic_interval(x, m: int, word, tol=None) -> BasicInterval:
-    """The basic interval of an admissible word (NotAdmissibleError otherwise)."""
+    """The basic interval of an admissible word (NotAdmissibleError otherwise):
+    its ends solve the word's max-tail and zero-tail completions."""
     word = _word_tuple(m, word)
     if not is_admissible(x, m, word):
         raise NotAdmissibleError(
             "word %r cannot begin a coding of %s over m=%d" % ("".join(map(str, word)), x, m)
         )
-    return interval_for_prefix(x, m, word, tol)
+    grid = _grid(to_point(x), to_alphabet(m), resolve_tol(tol))
+    return BasicInterval(word, *grid.endpoints(word))
 
 
 def cover(x, m: int, depth: int, tol=None) -> CoverLevel:

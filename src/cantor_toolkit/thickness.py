@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Q, to_alphabet, to_rational
+from ._rat import Q, to_alphabet, to_point, to_rational
 from .coding import GreedyExpansion
 from .errors import DomainError, PrecisionExhaustedError
 from .exact_arith import (
@@ -24,6 +24,7 @@ from .exact_arith import (
     Code,
     Ordering,
     Tail,
+    _grid,
     compare_brackets,
     eval_pi,
     refine_until,
@@ -31,7 +32,7 @@ from .exact_arith import (
     separate_brackets,
     solve_lambda,
 )
-from .lambda_set import BasicInterval, interval_for_prefix
+from .lambda_set import BasicInterval, _word_tuple
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,9 @@ class EkSystem:
     """The k-th thick Cantor subsystem of the parameter set of x.
 
     Its hull is the basic interval whose defining digits are the greedy
-    prefix up to the j-th defect, with the defect digit raised to b.
+    prefix up to the j-th defect, with the defect digit raised to b; tol is
+    the resolved bracket width its hull and every interval inside it are
+    solved at.
     """
 
     x: Q
@@ -50,6 +53,7 @@ class EkSystem:
     n_j: int
     prefix: tuple[int, ...]
     hull: BasicInterval
+    tol: Q
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,7 @@ class IntersectionReport:
 @functools.lru_cache(maxsize=1024)
 def _ek_hulls_cached(x, m: int, count: int, tol) -> tuple[EkSystem, ...]:
     ge = GreedyExpansion(x, m)
+    grid = _grid(x, m, tol)
     out: list[EkSystem] = []
     j = 0
     while len(out) < count:
@@ -136,10 +141,8 @@ def _ek_hulls_cached(x, m: int, count: int, tol) -> tuple[EkSystem, ...]:
         head = ge.prefix(n_j - 1)
         for b in range(m - 1, ge.digit(n_j), -1):
             prefix = head + (b,)
-            hull = interval_for_prefix(x, m, prefix, tol)
-            out.append(
-                EkSystem(x=x, m=m, k=len(out) + 1, j=j, b=b, n_j=n_j, prefix=prefix, hull=hull)
-            )
+            hull = BasicInterval(prefix, *grid.endpoints(prefix))
+            out.append(EkSystem(x, m, len(out) + 1, j, b, n_j, prefix, hull, tol))
             if len(out) == count:
                 break
     for left, right in zip(out, out[1:]):
@@ -152,9 +155,7 @@ def _ek_hulls_cached(x, m: int, count: int, tol) -> tuple[EkSystem, ...]:
 
 def ek_hulls(x, m: int, count: int, tol=None) -> list[EkSystem]:
     """The first `count` subsystems, in certified increasing hull order."""
-    x = to_rational(x)
-    if not 0 < x < 1:
-        raise DomainError("x must lie in (0, 1)")
+    x = to_point(x)
     if count < 1:
         return []
     return list(_ek_hulls_cached(x, m, count, resolve_tol(tol)))
@@ -166,10 +167,13 @@ def ek_system(x, m: int, k: int, tol=None) -> EkSystem:
     return ek_hulls(x, m, k, tol)[k - 1]
 
 
-def ek_basic_interval(system: EkSystem, word, tol=None) -> BasicInterval:
-    """Depth-|word| basic interval of the subsystem (its hull for the empty word)."""
-    iv = interval_for_prefix(system.x, system.m, system.prefix + tuple(word), tol)
-    return BasicInterval(iv.word[len(system.prefix) :], iv.left, iv.right)
+def ek_basic_interval(system: EkSystem, word) -> BasicInterval:
+    """Depth-|word| basic interval of the subsystem (its hull for the empty
+    word), solved at the subsystem's tol; its word is relative to the
+    subsystem."""
+    word = _word_tuple(system.m, word)
+    grid = _grid(system.x, system.m, system.tol)
+    return BasicInterval(word, *grid.endpoints(system.prefix + word))
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +209,10 @@ def _sibling_pairs(m: int, n: int):
             yield head + (d + 1,), head + (d,)
 
 
-def tau_report(system: EkSystem, depth: int = 3, tol=None) -> ThicknessReport:
+def tau_report(system: EkSystem, depth: int = 3) -> ThicknessReport:
     """Finite-depth thickness report of one subsystem, built on every call."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    tol = resolve_tol(tol)
     m = system.m
     ge = GreedyExpansion(system.x, m)
     ell = ge.first_nonzero
@@ -221,7 +224,7 @@ def tau_report(system: EkSystem, depth: int = 3, tol=None) -> ThicknessReport:
         level_min: Optional[Q] = None
         for w_plus, w in _sibling_pairs(m, n):
             left, right, gap_l, gap_r, pair_lo, _ = _neighbour_gap(
-                ek_basic_interval(system, w_plus, tol), ek_basic_interval(system, w, tol)
+                ek_basic_interval(system, w_plus), ek_basic_interval(system, w)
             )
             level_min = pair_lo if level_min is None else min(level_min, pair_lo)
             if applicable:
@@ -252,7 +255,7 @@ def tau_report(system: EkSystem, depth: int = 3, tol=None) -> ThicknessReport:
 
 def tau_estimate(x, m: int, k: int, depth: int = 3, tol=None) -> ThicknessReport:
     """Finite-depth thickness report for the k-th subsystem of x."""
-    return tau_report(ek_system(x, m, k, tol), depth, tol)
+    return tau_report(ek_system(x, m, k, tol), depth)
 
 
 def dim_lower_from_tau(tau: float) -> float:
@@ -400,11 +403,9 @@ def _certified_inside(e: Bracket, hull: BasicInterval) -> bool:
     return compare_brackets(e, hull.right, INSIDE_BUDGET) in (Ordering.LESS, Ordering.EQUAL)
 
 
-def _witness_inside(
-    sys_a: EkSystem, sys_b: EkSystem, depth: int, tol
-) -> Optional[EndpointWitness]:
+def _witness_inside(sys_a: EkSystem, sys_b: EkSystem, depth: int) -> Optional[EndpointWitness]:
     for word in itertools.product(range(sys_a.m - 1, -1, -1), repeat=depth):
-        iv = ek_basic_interval(sys_a, word, tol)
+        iv = ek_basic_interval(sys_a, word)
         for side, e in (("left", iv.left), ("right", iv.right)):
             if _certified_inside(e, sys_b.hull):
                 return EndpointWitness(k=sys_a.k, word=word, side=side, bracket=e)
@@ -442,7 +443,7 @@ def find_interleaved_pairs(
     systems_y = ek_hulls(y, m, kmax, tol)
     same = x == y
     # each subsystem's report once per search, through the module global
-    report = functools.cache(lambda system: tau_report(system, depth, tol))
+    report = functools.cache(lambda system: tau_report(system, depth))
     pairs = []
     for sx in systems_x:
         for sy in systems_y:
@@ -452,8 +453,8 @@ def find_interleaved_pairs(
             else:
                 if _hulls_certified_disjoint(sx, sy):
                     continue
-                witness_x = _witness_inside(sx, sy, depth, tol)
-                witness_y = _witness_inside(sy, sx, depth, tol)
+                witness_x = _witness_inside(sx, sy, depth)
+                witness_y = _witness_inside(sy, sx, depth)
                 if witness_x is None or witness_y is None:
                     continue
             tau_min = min(report(sx).tau_empirical, report(sy).tau_empirical)

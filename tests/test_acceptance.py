@@ -81,8 +81,8 @@ def sibling_pair_data():
                 data.append(
                     (
                         system,
-                        ek_basic_interval(system, w_plus, TOL40),
-                        ek_basic_interval(system, w, TOL40),
+                        ek_basic_interval(system, w_plus),
+                        ek_basic_interval(system, w),
                     )
                 )
     return data

@@ -36,7 +36,6 @@ from cantor_toolkit import (
     unique_coding,
 )
 from cantor_toolkit._rat import Q, to_rational
-from cantor_toolkit.lambda_set import interval_for_prefix
 
 xs = st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60), max_denominator=60)
 
@@ -66,7 +65,7 @@ def test_trusted_brackets_pass_the_checked_constructors(x, m, extra, bits):
             assert b.lo <= child.lo and child.hi <= b.hi
             b = child
     for w in words:
-        iv = interval_for_prefix(x, m, w, tol)
+        iv = basic_interval(x, m, w, tol)
         assert solve_lambda(x, iv.left.code, tol) == iv.left
         if iv.right.code.tail is Tail.TRUNCATED:
             # the greedy spine: the 0-tail completion has no root
@@ -118,9 +117,9 @@ def test_public_constructors_refuse(build):
     "call",
     [
         lambda x: solve_lambda(x, Code(2, (1, 1)), Q(1, 2**40)),
-        lambda x: interval_for_prefix(x, 2, (1, 1), Q(1, 2**40)),
+        lambda x: basic_interval(x, 2, (1, 1), Q(1, 2**40)),
     ],
-    ids=["solve_lambda", "interval_for_prefix"],
+    ids=["solve_lambda", "basic_interval"],
 )
 def test_entry_points_refuse_x_outside_the_unit_interval(call, x):
     with pytest.raises(DomainError, match=r"x must lie in \(0, 1\)"):
@@ -207,11 +206,11 @@ def test_formula_helpers_refuse_bad_alphabet_sizes(call):
         call()
 
 
-def test_interval_for_prefix_refuses_bad_alphabets_and_digits():
+def test_basic_interval_refuses_bad_alphabets_and_digits():
     with pytest.raises(DomainError, match="m must be >= 2"):
-        interval_for_prefix(Q(1, 2), 1, (0,))
+        basic_interval(Q(1, 2), 1, (0,))
     with pytest.raises(DomainError, match="outside 0..1"):
-        interval_for_prefix(Q(1, 2), 2, (1, 2))
+        basic_interval(Q(1, 2), 2, (1, 2))
 
 
 @pytest.mark.parametrize(
@@ -220,14 +219,14 @@ def test_interval_for_prefix_refuses_bad_alphabets_and_digits():
         lambda: Code(2, (0.5, 1)),
         lambda: Code(2, ("1",)),
         lambda: basic_interval(Q(1, 2), 2, (1.5, 0)),
-        lambda: interval_for_prefix(Q(1, 2), 2, (1.0, 0)),
+        lambda: basic_interval(Q(1, 2), 2, (1.0, 0)),
         lambda: ek_basic_interval(ek_system(Q(1, 2), 2, 1), (0.5,)),
     ],
     ids=[
         "Code-float",
         "Code-str",
         "basic_interval-float",
-        "interval_for_prefix-float",
+        "basic_interval-integral-float",
         "ek_basic_interval-float",
     ],
 )

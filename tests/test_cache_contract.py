@@ -42,7 +42,7 @@ ENTRY_POINTS = {
     "basic_interval": lambda tol: basic_interval(X, 2, (1, 1), tol),
     "ek_hulls": lambda tol: ek_hulls(X, 2, 2, tol),
     "tau_estimate": lambda tol: tau_estimate(X, 2, 1, 1, tol),
-    "tau_report": lambda tol: thickness.tau_report(ek_system(X, 2, 1), 1, tol),
+    "tau_report": lambda tol: thickness.tau_report(ek_system(X, 2, 1, tol), 1),
     "theta_sequence": lambda tol: theta_sequence(X, 2, 2, tol),
     "find_interleaved_pairs": lambda tol: find_interleaved_pairs(X, Y, 2, 2, 1, tol),
     "gamma_j": lambda tol: gamma_j(X, 2, 2, tol),
@@ -127,9 +127,9 @@ def test_interleave_search_builds_each_report_once(monkeypatch):
     real = thickness.tau_report
     built = []
 
-    def spy(system, depth, tol):
+    def spy(system, depth):
         built.append((system.x, system.k))
-        return real(system, depth, tol)
+        return real(system, depth)
 
     monkeypatch.setattr(thickness, "tau_report", spy)
     pairs = find_interleaved_pairs(X, Y, 2, 3, 2, tol)

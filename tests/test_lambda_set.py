@@ -86,7 +86,7 @@ def test_admissible_words_are_the_words_whose_max_completion_exceeds_x(x, m, n):
     [
         lambda w: is_admissible(Q(1, 2), 2, w),
         lambda w: basic_interval(Q(1, 2), 2, w, TOL),
-        lambda w: ek_basic_interval(ek_system(Q(1, 2), 2, 1, TOL), w, TOL),
+        lambda w: ek_basic_interval(ek_system(Q(1, 2), 2, 1, TOL), w),
     ],
     ids=["is_admissible", "basic_interval", "ek_basic_interval"],
 )

@@ -83,7 +83,7 @@ def test_subsystem_right_endpoints_are_solved_roots(m):
     for x in _seeded_points(1000 + m, 50):
         for s in ek_hulls(x, m, 6, TOL):
             ivs = [s.hull] + [
-                ek_basic_interval(s, word, TOL)
+                ek_basic_interval(s, word)
                 for n in (1, 2)
                 for word in itertools.product(range(m), repeat=n)
             ]
@@ -108,20 +108,20 @@ def test_omitted_tol_shares_cache_entries_with_default_tol():
 
 def test_empty_word_is_hull():
     s2 = ek_system(Q(1, 2), 2, 2, TOL)
-    iv = ek_basic_interval(s2, (), TOL)
+    iv = ek_basic_interval(s2, ())
     assert compare_brackets(iv.left, s2.hull.left) is Ordering.EQUAL
     assert compare_brackets(iv.right, s2.hull.right) is Ordering.EQUAL
 
 
 def test_max_digit_child_shares_left_endpoint():
     s2 = ek_system(Q(1, 2), 2, 2, TOL)
-    child = ek_basic_interval(s2, (1,), TOL)
+    child = ek_basic_interval(s2, (1,))
     assert compare_brackets(child.left, s2.hull.left) is Ordering.EQUAL
 
 
 def test_zero_digit_child_shares_right_endpoint():
     s2 = ek_system(Q(1, 2), 2, 2, TOL)
-    child = ek_basic_interval(s2, (0,), TOL)
+    child = ek_basic_interval(s2, (0,))
     assert compare_brackets(child.right, s2.hull.right) is Ordering.EQUAL
 
 
@@ -205,18 +205,18 @@ def test_width_bound_certified_including_equality_case():
     s1 = ek_system(Q(1, 2), 2, 1, TOL)
     # hull of the first subsystem: all-max prefix, the exact-equality case
     assert certify_interval_width_bound(s1.hull)
-    assert certify_interval_width_bound(ek_basic_interval(s1, (1, 0), TOL))
+    assert certify_interval_width_bound(ek_basic_interval(s1, (1, 0)))
     s3 = ek_system(Q(1, 2), 2, 3, TOL)
     assert certify_interval_width_bound(s3.hull)
-    assert certify_interval_width_bound(ek_basic_interval(s3, (0, 1), TOL))
+    assert certify_interval_width_bound(ek_basic_interval(s3, (0, 1)))
 
 
 def test_gap_bound_certified_on_sibling_pairs():
     ge = GreedyExpansion(Q(1, 2), 2)
     for k in (1, 2, 4):
         s = ek_system(Q(1, 2), 2, k, TOL)
-        left = ek_basic_interval(s, (1,), TOL)
-        right = ek_basic_interval(s, (0,), TOL)
+        left = ek_basic_interval(s, (1,))
+        right = ek_basic_interval(s, (0,))
         assert certify_gap_width_bound(left, right, s.n_j, ge.first_nonzero)
 
 
@@ -225,15 +225,15 @@ def test_gap_bound_returns_false_on_false_claim():
     # true gap; the checker must give up cleanly, not loop
     ge = GreedyExpansion(Q(1, 2), 2)
     s = ek_system(Q(1, 2), 2, 2, TOL)
-    left = ek_basic_interval(s, (1,), TOL)
-    right = ek_basic_interval(s, (0,), TOL)
+    left = ek_basic_interval(s, (1,))
+    right = ek_basic_interval(s, (0,))
     assert not certify_gap_width_bound(left, right, s.n_j + 40, ge.first_nonzero)
 
 
 def test_gap_bound_rejects_out_of_hypothesis_defect():
     s = ek_system(Q(1, 2), 2, 1, TOL)
-    left = ek_basic_interval(s, (1,), TOL)
-    right = ek_basic_interval(s, (0,), TOL)
+    left = ek_basic_interval(s, (1,))
+    right = ek_basic_interval(s, (0,))
     with pytest.raises(DomainError):
         certify_gap_width_bound(left, right, nj_right=1, first_nonzero=1)
 
@@ -307,7 +307,7 @@ def test_interleave_depth_below_one_rejected(depth):
 @pytest.mark.parametrize("depth", [0, -1])
 def test_tau_report_depth_below_one_rejected(depth):
     with pytest.raises(DomainError, match="depth must be >= 1"):
-        thickness.tau_report(ek_system(Q(1, 2), 2, 1, TOL), depth, TOL)
+        thickness.tau_report(ek_system(Q(1, 2), 2, 1, TOL), depth)
 
 
 @pytest.mark.parametrize("k", [0, -1])
