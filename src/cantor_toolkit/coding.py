@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Q, to_alphabet, to_point, to_rational
+from ._rat import Q, to_alphabet, to_int, to_point, to_rational
 from .errors import DomainError, HullViolationError
 
 #: Remainder states tracked for cycle detection before giving up; bounds
@@ -88,6 +88,7 @@ class GreedyExpansion:
 
     def defect_index(self, j: int) -> int:
         """1-based j-th position whose digit is below m-1 (strictly increasing in j)."""
+        j = to_int(j, "defect index j")
         if j < 1:
             raise DomainError("defect indices are 1-based")
         seen = 0
@@ -102,6 +103,7 @@ class GreedyExpansion:
 
 def greedy_expansion(x, m: int, n: int) -> GreedyExpansion:
     """Greedy expansion of x with the first n digits materialized."""
+    n = to_int(n, "n")
     if n < 1:
         raise DomainError("n must be >= 1")
     ge = GreedyExpansion(x, m)
@@ -138,6 +140,7 @@ def unique_coding(x, lam, m: int, n: int) -> tuple[tuple[int, ...], Optional[int
     m = to_alphabet(m)
     if not (0 < lam and lam * m < 1):
         raise DomainError("lam must lie in (0, 1/m)")
+    n = to_int(n, "n")
     if n < 1:
         raise DomainError("n must be >= 1")
     hull = _hull_max(lam, m)
@@ -191,6 +194,7 @@ def membership(x, lam, m: int, max_steps: int = DEFAULT_MAX_STEPS) -> Membership
     m = to_alphabet(m)
     if not (0 < lam and lam * m <= 1):
         raise DomainError("lam must lie in (0, 1/m]")
+    max_steps = to_int(max_steps, "max_steps")
     if max_steps < 1:
         raise DomainError("max_steps must be >= 1")
     hull = _hull_max(lam, m)

@@ -9,7 +9,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from ._rat import Q, to_alphabet, to_rational
+from ._rat import Q, to_alphabet, to_int, to_rational
 from .coding import GreedyExpansion
 from .errors import DomainError, EmptyWindowError
 from .exact_arith import Bracket, Code, Tail, solve_lambda
@@ -51,6 +51,7 @@ def _clipped_segments(cover: CoverLevel, window) -> list[tuple[Q, Q]]:
 def box_dimension(cover_level: CoverLevel, window, grid_depth: int) -> DimensionEstimate:
     """Dyadic box-counting estimate of one cover level inside `window`."""
     # the slope is fitted on ceil(grid_depth / 2) levels, and a line needs two
+    grid_depth = to_int(grid_depth, "grid_depth")
     if grid_depth < 3:
         raise DomainError("grid_depth must be >= 3")
     window = (to_rational(window[0]), to_rational(window[1]))
@@ -144,7 +145,7 @@ def sft_count(m: int, k: int, n: int) -> ZeroRunCount:
 
     Dynamic program over the trailing-zero run length (k states).
     """
-    m = to_alphabet(m)
+    m, k, n = to_alphabet(m), to_int(k, "k"), to_int(n, "n")
     if k < 1 or n < 1:
         raise DomainError("need k >= 1, n >= 1")
     counts = _zero_run_counts(m, k, n)
@@ -178,13 +179,13 @@ def _zero_run_counts(m: int, k: int, n: int) -> list[int]:
 def gamma_j(x, m: int, j: int, tol=None) -> Bracket:
     """Parameter whose coding is the greedy prefix with the j-th defect
     digit raised, completed by the all-(m-1) tail; increases to 1/m in j."""
+    j = to_int(j, "j")
     if j < 1:
         raise DomainError("j must be >= 1")
-    x = to_rational(x)
     ge = GreedyExpansion(x, m)
     n_j = ge.defect_index(j)
     prefix = ge.prefix(n_j - 1) + (ge.digit(n_j) + 1,)
-    return solve_lambda(x, Code(m, prefix, Tail.MAX), tol)
+    return solve_lambda(ge.x, Code(m, prefix, Tail.MAX), tol)
 
 
 def dim_lower_formula(m: int, k: int, gamma: float) -> float:

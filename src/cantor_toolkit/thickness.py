@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Q, to_alphabet, to_point, to_rational
+from ._rat import Q, to_alphabet, to_int, to_point, to_rational
 from .coding import GreedyExpansion
 from .errors import DomainError, PrecisionExhaustedError
 from .exact_arith import (
@@ -155,13 +155,15 @@ def _ek_hulls_cached(x, m: int, count: int, tol) -> tuple[EkSystem, ...]:
 
 def ek_hulls(x, m: int, count: int, tol=None) -> list[EkSystem]:
     """The first `count` subsystems, in certified increasing hull order."""
-    x = to_point(x)
+    x, m = to_point(x), to_alphabet(m)
+    count, tol = to_int(count, "count"), resolve_tol(tol)
     if count < 1:
         return []
-    return list(_ek_hulls_cached(x, m, count, resolve_tol(tol)))
+    return list(_ek_hulls_cached(x, m, count, tol))
 
 
 def ek_system(x, m: int, k: int, tol=None) -> EkSystem:
+    k = to_int(k, "k")
     if k < 1:
         raise DomainError("k must be >= 1")
     return ek_hulls(x, m, k, tol)[k - 1]
@@ -211,6 +213,7 @@ def _sibling_pairs(m: int, n: int):
 
 def tau_report(system: EkSystem, depth: int = 3) -> ThicknessReport:
     """Finite-depth thickness report of one subsystem, built on every call."""
+    depth = to_int(depth, "depth")
     if depth < 1:
         raise DomainError("depth must be >= 1")
     m = system.m
@@ -267,6 +270,7 @@ def dim_lower_from_tau(tau: float) -> float:
 
 def theta_sequence(x, m: int, count: int, tol=None) -> list[ThetaEntry]:
     """Certified hull/gap ratios for consecutive subsystems, k = 1..count-1."""
+    count = to_int(count, "count")
     if count < 2:
         raise DomainError("count must be >= 2")
     systems = ek_hulls(x, m, count, tol)
@@ -433,12 +437,13 @@ def find_interleaved_pairs(
     endpoint of each subsystem inside the convex hull of the other; an
     empty result at small kmax is a valid outcome.
     """
+    depth = to_int(depth, "depth")
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    x, y = to_rational(x), to_rational(y)
+    x, y, m = to_point(x), to_point(y), to_alphabet(m)
+    kmax, tol = to_int(kmax, "kmax"), resolve_tol(tol)
     if kmax < 1:
         return []
-    tol = resolve_tol(tol)
     systems_x = ek_hulls(x, m, kmax, tol)
     systems_y = ek_hulls(y, m, kmax, tol)
     same = x == y

@@ -8,6 +8,8 @@ points keep.
 
 from fractions import Fraction
 
+import threading
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,16 +25,23 @@ from cantor_toolkit import (
     basic_interval,
     cover,
     cover_sequence,
+    box_dimension,
     dim_lower_formula,
     dimension_of_parameter,
     ek_basic_interval,
+    ek_hulls,
     ek_system,
+    find_interleaved_pairs,
+    gamma_j,
+    greedy_expansion,
     hull_of,
     membership,
     refine,
     sft_count,
     size_ratio_bound,
     solve_lambda,
+    tau_estimate,
+    theta_sequence,
     unique_coding,
 )
 from cantor_toolkit._rat import Q, to_rational
@@ -161,11 +170,89 @@ def test_non_integer_alphabet_sizes_are_refused(call):
         lambda: cover(Q(1, 2), 2, "3"),
         lambda: cover_sequence(Q(1, 2), 2, 3.5),
         lambda: admissible_words(Q(1, 2), 2, "3"),
+        lambda: ek_hulls(Q(1, 2), 2, 2.5),
+        lambda: theta_sequence(Q(1, 2), 2, 2.5),
+        lambda: find_interleaved_pairs(Q(1, 2), Q(2, 5), 2, kmax=1.5),
+        lambda: ek_system(Q(1, 2), 2, 1.5),
+        lambda: tau_estimate(Q(1, 2), 2, 1, depth=2.0),
+        lambda: find_interleaved_pairs(Q(1, 2), Q(2, 5), 2, 2, depth=1.5),
+        lambda: sft_count(2, 2.5, 5),
+        lambda: membership(Q(1, 3), Q(1, 4), 2, max_steps=2.5),
+        lambda: unique_coding(Q(1, 3), Q(1, 4), 2, 2.5),
+        lambda: greedy_expansion(Q(1, 2), 2, 2.5),
+        lambda: box_dimension(cover(Q(1, 2), 2, 3), (Q(1, 3), Q(1, 2)), 3.5),
     ],
-    ids=["cover-3.5", "cover-str", "cover_sequence-3.5", "admissible_words-str"],
+    ids=[
+        "cover-3.5",
+        "cover-str",
+        "cover_sequence-3.5",
+        "admissible_words-str",
+        "ek_hulls-2.5",
+        "theta_sequence-2.5",
+        "find_interleaved_pairs-kmax-1.5",
+        "ek_system-1.5",
+        "tau_estimate-depth-2.0",
+        "find_interleaved_pairs-depth-1.5",
+        "sft_count-k-2.5",
+        "membership-max_steps-2.5",
+        "unique_coding-2.5",
+        "greedy_expansion-2.5",
+        "box_dimension-3.5",
+    ],
 )
 def test_non_integer_word_lengths_are_refused(call):
     with pytest.raises(DomainError, match="is not an integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gamma_j(Q(1, 2), 2, 1.5),
+        lambda: GreedyExpansion(Q(1, 2), 2).defect_index(1.5),
+    ],
+    ids=["gamma_j", "defect_index"],
+)
+def test_non_integer_defect_index_is_refused_at_once(call):
+    # a loop waiting for `seen == 1.5` never ends, so run it where a hang
+    # fails the test instead of the suite
+    raised = []
+
+    def work():
+        try:
+            call()
+        except DomainError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    worker.join(timeout=1)
+    assert not worker.is_alive() and len(raised) == 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ek_hulls(Q(1, 2), 1, 0), "m must be >= 2"),
+        (lambda: ek_hulls(Q(3, 2), 2, 0), r"x must lie in \(0, 1\)"),
+        (lambda: ek_hulls(Q(1, 2), 2, 0, Q(0)), "tol must be positive"),
+        (lambda: find_interleaved_pairs(Q(3, 2), Q(2, 5), 2, 0), r"x must lie in \(0, 1\)"),
+        (lambda: find_interleaved_pairs(Q(1, 2), Q(3, 2), 2, 0), r"x must lie in \(0, 1\)"),
+        (lambda: find_interleaved_pairs(Q(1, 2), Q(2, 5), 1, 0), "m must be >= 2"),
+        (lambda: find_interleaved_pairs(Q(1, 2), Q(2, 5), 2, 0, 1, Q(0)), "tol must be positive"),
+    ],
+    ids=[
+        "ek_hulls-m",
+        "ek_hulls-x",
+        "ek_hulls-tol",
+        "find_interleaved_pairs-x",
+        "find_interleaved_pairs-y",
+        "find_interleaved_pairs-m",
+        "find_interleaved_pairs-tol",
+    ],
+)
+def test_empty_requests_still_check_their_inputs(call, message):
+    with pytest.raises(DomainError, match=message):
         call()
 
 

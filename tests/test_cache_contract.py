@@ -3,7 +3,9 @@
 Root brackets and subsystem hull chains are cached per process, each
 because a test below shows it reused; covers are rebuilt on each call from
 cached roots, and thickness reports are built per call, each subsystem's
-at most once within one interleave search.
+at most once within one interleave search.  A subsystem carries the tol
+its chain was built at, so `tau_report` takes none: its tol is checked
+where the subsystem is built.
 """
 
 import collections

@@ -10,6 +10,7 @@ from cantor_toolkit import (
     GreedyExpansion,
     Ordering,
     Tail,
+    basic_interval,
     certify_expansion_separation,
     certify_gap_width_bound,
     certify_interval_width_bound,
@@ -104,6 +105,20 @@ def test_omitted_tol_shares_cache_entries_with_default_tol():
     assert len(omitted) == 3
     assert all(a is b for a, b in zip(omitted, explicit))
     assert tau_estimate(x, 2, 1, 1) == tau_estimate(x, 2, 1, 1, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("x, m", [(Q(1, 2), 2), (Q(2, 5), 2), (Q(2, 7), 3)])
+def test_subsystem_intervals_match_basic_interval_at_the_subsystem_tol(x, m):
+    for tol in (None, TOL):
+        systems = ek_hulls(x, m, 6, tol)
+        assert all(s.tol == (DEFAULT_TOL if tol is None else TOL) for s in systems)
+        for s in systems:
+            for n in range(4):
+                for word in itertools.product(range(m), repeat=n):
+                    iv = ek_basic_interval(s, word)
+                    whole = basic_interval(x, m, s.prefix + word, s.tol)
+                    assert iv.word == word and whole.word == s.prefix + word
+                    assert (iv.left, iv.right) == (whole.left, whole.right)
 
 
 def test_empty_word_is_hull():
