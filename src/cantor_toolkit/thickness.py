@@ -142,7 +142,9 @@ def _ek_hulls_cached(x, m: int, count: int, tol) -> tuple[EkSystem, ...]:
         for b in range(m - 1, ge.digit(n_j), -1):
             prefix = head + (b,)
             hull = BasicInterval(prefix, *grid.endpoints(prefix))
-            out.append(EkSystem(x, m, len(out) + 1, j, b, n_j, prefix, hull, tol))
+            out.append(
+                EkSystem(x=x, m=m, k=len(out) + 1, j=j, b=b, n_j=n_j, prefix=prefix, hull=hull, tol=tol)
+            )
             if len(out) == count:
                 break
     for left, right in zip(out, out[1:]):
