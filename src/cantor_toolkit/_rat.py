@@ -46,11 +46,12 @@ def to_rational(value) -> "Q":
     raise TypeError("cannot interpret %r as an exact rational" % (value,))
 
 
-def to_point(x) -> "Q":
-    """`x` as a Q in (0, 1) (see `to_rational`), or DomainError."""
+def to_point(x, name: str) -> "Q":
+    """`x` as a Q in (0, 1) (see `to_rational`), or DomainError naming it
+    `name`."""
     x = to_rational(x)
     if not 0 < x.numerator < x.denominator:
-        raise DomainError("x must lie in (0, 1)")
+        raise DomainError("%s must lie in (0, 1)" % name)
     return x
 
 

@@ -34,30 +34,33 @@ class GreedyExpansion:
     """
 
     def __init__(self, x, m: int):
-        self.x = to_point(x)
+        self.x = to_point(x, "x")
         self.m = to_alphabet(m)
         self._digits: list[int] = []
-        self._remainder = self.x  # x scaled into [0,1) after the produced digits
+        # x = p/q scaled into [0, 1) after the produced digits is r/q
+        self._remainder = self.x.numerator
         self._zero_from: Optional[int] = None  # 1-based index of an all-zero tail
         self._lock = threading.Lock()
 
     # -- digit access ---------------------------------------------------
 
     def _extend_to(self, n: int):
+        """Long division of x's numerator: each digit is floor(r m / q),
+        below m because r < q."""
+        q, m = self.x.denominator, self.m
         with self._lock:
             while len(self._digits) < n:
                 if self._zero_from is not None:
                     self._digits.append(0)
                     continue
-                y = self._remainder * self.m
-                d = min(int(y), self.m - 1)
+                d, self._remainder = divmod(self._remainder * m, q)
                 self._digits.append(d)
-                self._remainder = y - d
                 if self._remainder == 0:
                     self._zero_from = len(self._digits) + 1
 
     def digit(self, i: int) -> int:
         """1-based stream digit."""
+        i = to_int(i, "digit position")
         if i < 1:
             raise DomainError("digit positions are 1-based")
         if self._zero_from is not None and i >= self._zero_from:
@@ -66,6 +69,10 @@ class GreedyExpansion:
         return self._digits[i - 1]
 
     def prefix(self, n: int) -> tuple[int, ...]:
+        """The first n stream digits."""
+        n = to_int(n, "prefix length")
+        if n < 0:
+            raise DomainError("prefix length must be >= 0, got %r" % (n,))
         self._extend_to(n)
         return tuple(self._digits[:n])
 

@@ -91,13 +91,9 @@ class Code:
         """Strip prefix digits absorbed by the tail, so equal streams compare equal."""
         if self.tail is Tail.TRUNCATED:
             return self
-        t = self.tail_digit
-        p = self.prefix
-        n = len(p)
-        while n and p[n - 1] == t:
-            n -= 1
+        p = _strip(self.prefix, self.tail_digit)
         # a slice of a checked prefix is checked
-        return self if n == len(p) else Code._of(self.m, p[:n], self.tail)
+        return self if len(p) == len(self.prefix) else Code._of(self.m, p, self.tail)
 
     # -- text form ----------------------------------------------------
 
@@ -228,8 +224,10 @@ def _sign(code: Code, lam: tuple[int, int], x) -> int:
     Integer Horner on numerator and denominator: no rational is built and no
     gcd is taken.  Any rational 0 <= p/q < 1 works (the series is increasing
     there); `code` must have an explicit tail.  Every certified decision of
-    the solver (the existence check at 1/m and each bracket end) is one call
-    of this kernel, and so is each step of `refine`.
+    the solver is one call of this kernel, and so is each step of `refine`:
+    each bracket end c/2^k, and the test at 1/m, which `_Grid.solve` makes
+    only where its cell search reaches the grid's top cell or the grid is
+    the whole hull.
     """
     p, q = lam
     if code.tail is Tail.MAX:
@@ -281,15 +279,16 @@ def _float_newton(code: Code, x: float) -> float:
     return lam
 
 
-def _estimate_cell(code: Code, x, k: int):
+def _estimate_cell(code: Code, x, x_float: float, k: int):
     """Untrusted estimate of root * 2^k; the solver uses only its floor.
 
-    Float Newton, then, for grids finer than a double reaches, fixed-point
-    integer Newton steps on T / 2^(k + GUARD_BITS), each doubling the
-    correct bits.  Nothing here is proved: the solver checks the cell with
-    exact sign tests and widens it when the estimate is wrong.
+    Float Newton on ``x_float = float(x)``, then, for grids finer than a
+    double reaches, fixed-point integer Newton steps on T / 2^(k +
+    GUARD_BITS), each doubling the correct bits.  Nothing here is proved:
+    the solver checks the cell with exact sign tests and widens it when the
+    estimate is wrong.
     """
-    lam = _float_newton(code, float(x))
+    lam = _float_newton(code, x_float)
     if k <= FLOAT_BITS:
         return lam * (1 << k)
     if not math.isfinite(lam):
@@ -337,7 +336,7 @@ def solve_lambda(x, code: Code, tol=None) -> Bracket:
     cannot reach x by lam = 1/m (the coding does not occur), or when the
     code is identically zero.
     """
-    x = to_point(x)
+    x = to_point(x, "x")
     tol = resolve_tol(tol)
     canon = code.canonical()
     if canon.tail is Tail.TRUNCATED:
@@ -359,14 +358,16 @@ class _Grid:
 
     def __init__(self, x, m: int, tol):
         self.x, self.m = x, m
+        self.x_float = float(x)
         self.hull = hull_lo, cap = _hull(x, m)
         self.whole_hull = cap - hull_lo <= tol
         # Grid 2^-k, the largest power of two <= tol (so k >= 2 unless
         # `whole_hull`); gl = floor(hull_lo 2^k) and gh = ceil(2^k/m), so the
-        # signs there are certain.
+        # signs there are certain.  hull_lo = p/(p + (m-1)q) for x = p/q.
         self.k = ((tol.denominator - 1) // tol.numerator).bit_length()
         self.one = 1 << self.k
-        self.gl, self.gh = math.floor(hull_lo * self.one), -(-self.one // m)
+        p, q = x.numerator, x.denominator
+        self.gl, self.gh = (p << self.k) // (p + (m - 1) * q), -(-self.one // m)
 
     def root(self, code: Code) -> Bracket:
         """The bracket of a canonical code with an explicit tail, or NoRootError."""
@@ -382,8 +383,8 @@ class _Grid:
         """The end brackets of the basic interval of a checked word: the
         roots of word+max-tail and word+zero-tail."""
         m, cap = self.m, self.hull[1]
-        left = self.root(Code._of(m, word, Tail.MAX).canonical())
-        right = _bracket(self, Code._of(m, word, Tail.ZERO).canonical())
+        left = self.root(Code._of(m, _strip(word, m - 1), Tail.MAX))
+        right = _bracket(self, Code._of(m, _strip(word, 0), Tail.ZERO))
         if right is None:
             # Greedy spine: codings starting with this word accumulate at the
             # hull maximum, reached by the greedy coding itself.
@@ -394,28 +395,34 @@ class _Grid:
         """The bracket of a canonical code with an explicit tail, or None
         where the series stays below x at 1/m.
 
+        The series increases and the top grid point gh/2^k is >= 1/m, so the
+        cell search proves that a root exists: a positive sign at a grid
+        point below gh puts the root below 1/m.  The sign at 1/m is tested
+        only where the search reaches the top cell, in place of the sign at
+        gh (negative: no root; zero: the exact root 1/m; positive: a root in
+        the top cell, cut back to 1/m), or once where the grid is the whole
+        hull.
+
         Every return builds its bracket with `Bracket._of`: each end is 1/m,
-        the hull end x/(m-1+x), or a grid point c/2^k with gl <= c <= gh, and
+        the hull end x/(m-1+x), or a grid point c/2^k with gl <= c < gh, and
         every grid end is clamped to [gl, gh] and cut back to the hull ends;
         so 0 < lo <= hi <= 1/m holds by construction.
         """
         x, m = self.x, self.m
         hull_lo, cap = self.hull
-        s = _sign(code, (1, m), x)
-        if s < 0:
-            return None
-        if s == 0:
-            return Bracket._of(cap, cap, code, x)
         # Below 1/m distinct digit streams take distinct values, so no other
         # (canonical) code has its root at hull_lo.
         if code.tail is Tail.MAX and not code.prefix:
             return Bracket._of(hull_lo, hull_lo, code, x)
         if self.whole_hull:
-            return Bracket._of(hull_lo, cap, code, x)
+            s = _sign(code, (1, m), x)
+            if s < 0:
+                return None
+            return Bracket._of(cap if s == 0 else hull_lo, cap, code, x)
         # Every widening below stops by gl and gh; the final bracket is cut
         # back to the hull, which moves only an end at gl or gh.
         one, gl, gh = self.one, self.gl, self.gh
-        estimate = _estimate_cell(code, x, self.k)
+        estimate = _estimate_cell(code, x, self.x_float, self.k)
         try:
             c = math.floor(estimate)
         except (ValueError, OverflowError):  # nan or infinite
@@ -428,11 +435,16 @@ class _Grid:
             step *= 2
         if s == 0:
             return Bracket._of(Q(lo_c, one), Q(lo_c, one), code, x)
-        while (s := _sign(code, (hi_c, one), x)) < 0:
+        # gh/2^k may lie above 1/m, where a sign says nothing of a root at or
+        # below 1/m: at gh the test is at 1/m itself
+        while (s := _sign(code, (hi_c, one) if hi_c < gh else (1, m), x)) < 0:
+            if hi_c == gh:
+                return None
             lo_c, hi_c = hi_c, min(hi_c + step, gh)
             step *= 2
         if s == 0:
-            return Bracket._of(Q(hi_c, one), Q(hi_c, one), code, x)
+            end = Q(hi_c, one) if hi_c < gh else cap
+            return Bracket._of(end, end, code, x)
         # integer bisection down to the one grid cell that holds the root
         while hi_c - lo_c > 1:
             mid = (lo_c + hi_c) // 2
@@ -445,6 +457,14 @@ class _Grid:
                 hi_c = mid
         lo = hull_lo if lo_c == gl else Q(lo_c, one)
         return Bracket._of(lo, cap if hi_c == gh else Q(hi_c, one), code, x)
+
+
+def _strip(word: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """`word` without the trailing digits `t` that a tail of t absorbs."""
+    n = len(word)
+    while n and word[n - 1] == t:
+        n -= 1
+    return word[:n]
 
 
 # One bound for all grids: at most 2^16 brackets, least recently used out.

@@ -63,7 +63,7 @@ class CoverLevel:
 
 def hull_of(x, m: int) -> tuple[Q, Q]:
     """Exact convex hull [x/(m-1+x), 1/m] of the parameter set."""
-    return _hull(to_point(x), to_alphabet(m))
+    return _hull(to_point(x, "x"), to_alphabet(m))
 
 
 def _word_tuple(m: int, word) -> tuple[int, ...]:
@@ -114,7 +114,7 @@ def basic_interval(x, m: int, word, tol=None) -> BasicInterval:
         raise NotAdmissibleError(
             "word %r cannot begin a coding of %s over m=%d" % ("".join(map(str, word)), x, m)
         )
-    grid = _grid(to_point(x), to_alphabet(m), resolve_tol(tol))
+    grid = _grid(to_point(x, "x"), to_alphabet(m), resolve_tol(tol))
     return BasicInterval(word, *grid.endpoints(word))
 
 

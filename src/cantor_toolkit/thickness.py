@@ -157,7 +157,7 @@ def _ek_hulls_cached(x, m: int, count: int, tol) -> tuple[EkSystem, ...]:
 
 def ek_hulls(x, m: int, count: int, tol=None) -> list[EkSystem]:
     """The first `count` subsystems, in certified increasing hull order."""
-    x, m = to_point(x), to_alphabet(m)
+    x, m = to_point(x, "x"), to_alphabet(m)
     count, tol = to_int(count, "count"), resolve_tol(tol)
     if count < 1:
         return []
@@ -442,7 +442,7 @@ def find_interleaved_pairs(
     depth = to_int(depth, "depth")
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    x, y, m = to_point(x), to_point(y), to_alphabet(m)
+    x, y, m = to_point(x, "x"), to_point(y, "y"), to_alphabet(m)
     kmax, tol = to_int(kmax, "kmax"), resolve_tol(tol)
     if kmax < 1:
         return []

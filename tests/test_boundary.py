@@ -237,7 +237,7 @@ def test_non_integer_defect_index_is_refused_at_once(call):
         (lambda: ek_hulls(Q(3, 2), 2, 0), r"x must lie in \(0, 1\)"),
         (lambda: ek_hulls(Q(1, 2), 2, 0, Q(0)), "tol must be positive"),
         (lambda: find_interleaved_pairs(Q(3, 2), Q(2, 5), 2, 0), r"x must lie in \(0, 1\)"),
-        (lambda: find_interleaved_pairs(Q(1, 2), Q(3, 2), 2, 0), r"x must lie in \(0, 1\)"),
+        (lambda: find_interleaved_pairs(Q(1, 2), Q(3, 2), 2, 0), r"^y must lie in \(0, 1\)"),
         (lambda: find_interleaved_pairs(Q(1, 2), Q(2, 5), 1, 0), "m must be >= 2"),
         (lambda: find_interleaved_pairs(Q(1, 2), Q(2, 5), 2, 0, 1, Q(0)), "tol must be positive"),
     ],

@@ -154,8 +154,8 @@ def test_interleave_search_builds_one_hull_chain_per_point():
 @pytest.mark.parametrize(
     "argv, chains, reports, sign_tests",
     [
-        ("thickness --m 2 --x 1/2 --kmax 6 --depth 3", 1, 6, 286),
-        ("intersect --m 2 --x 1/2 --y 2/5 --kmax 12", 2, 17, 6567),
+        ("thickness --m 2 --x 1/2 --kmax 6 --depth 3", 1, 6, 190),
+        ("intersect --m 2 --x 1/2 --y 2/5 --kmax 12", 2, 17, 4377),
     ],
     ids=["thickness", "intersect"],
 )

@@ -86,6 +86,27 @@ def test_greedy_rejects_bad_domain():
         greedy_expansion(Q(0), 2, 4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda ge: ge.digit(1.5), lambda ge: ge.prefix(2.5), lambda ge: ge.prefix("3")],
+    ids=["digit-1.5", "prefix-2.5", "prefix-str"],
+)
+def test_greedy_positions_are_read_as_integers(call):
+    with pytest.raises(DomainError, match="is not an integer"):
+        call(GreedyExpansion(Q(1, 3), 2))
+
+
+def test_greedy_prefix_refuses_a_negative_length():
+    # a negative slice would drop digits from the end of what was produced
+    ge = GreedyExpansion(Q(1, 3), 2)
+    with pytest.raises(DomainError, match="prefix length must be >= 0"):
+        ge.prefix(-1)
+    assert ge.prefix(4) == (0, 1, 0, 1)
+    with pytest.raises(DomainError, match="prefix length must be >= 0"):
+        ge.prefix(-1)
+    assert ge.prefix(0) == ()
+
+
 # ---------------------------------------------------------------------------
 # unique coding
 

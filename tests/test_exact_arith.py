@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cantor_toolkit import (
@@ -248,30 +248,61 @@ def test_solve_contains_float_root_within_tol(c, xf, tol):
     assert b.width <= tol
 
 
+def top_cell(m, tol):
+    """The grid's top cell (c/2^k, (c+1)/2^k] holding 1/m, 2^-k the largest
+    power of two <= tol: its upper end is 1/m for m in {2, 4}, and above
+    1/m for m = 3."""
+    k = 0
+    while Q(1, 2**k) > tol:
+        k += 1
+    gh = -(-(2**k) // m)
+    return Q(gh - 1, 2**k), Q(gh, 2**k)
+
+
 @st.composite
 def cell_cases(draw):
-    m = draw(st.integers(2, 4))
+    where = draw(st.sampled_from(["any", "dyadic", "cap", "top", "above"]))
+    # only a non-dyadic 1/m leaves room between 1/m and the top grid point
+    m = 3 if where == "above" else draw(st.integers(2, 4))
     prefix = tuple(draw(st.lists(st.integers(0, m - 1), max_size=12)))
     tail_max = draw(st.booleans())
     c = Code(m, prefix, Tail.MAX if tail_max else Tail.ZERO)
     assume(not is_zero_stream(c))
-    where = draw(st.sampled_from(["any", "dyadic", "cap"]))
+    tol = draw(st.sampled_from([Q(1, 2**40), Q(1, 2**64), Q(1, 2**80), Q(1, 10**6)]))
     if where == "any":
         x = Q(draw(rationals_01))
     else:
-        # x = series(lam) puts the root on a 2^-20 grid point or at 1/m
-        if where == "dyadic":
-            lam = Q(draw(st.integers(1, 2**20 // m)), 2**20)
-        else:
-            lam = Q(1, m)
+        # x = series(lam) puts the root on a 2^-20 grid point, at 1/m, inside
+        # the top grid cell below 1/m, or above 1/m within that cell (no root)
+        t = Q(draw(st.integers(1, 999)), 1000)
+        low, high = top_cell(m, tol)
+        lam = {
+            "dyadic": lambda: Q(draw(st.integers(1, 2**20 // m)), 2**20),
+            "cap": lambda: Q(1, m),
+            "top": lambda: Q(1, m) - t * (Q(1, m) - low),
+            "above": lambda: Q(1, m) + (t if draw(st.booleans()) else 1) * (high - Q(1, m)),
+        }[where]()
         x = exact_series(prefix, tail_max, m, lam)
         assume(0 < x < 1)
-    tol = draw(st.sampled_from([Q(1, 2**40), Q(1, 2**64), Q(1, 2**80), Q(1, 10**6)]))
     return c, x, tol
 
 
-@settings(max_examples=200, deadline=None)
+def _series(c, lam):
+    return exact_series(c.prefix, c.tail is Tail.MAX, c.m, lam)
+
+
+@settings(max_examples=300, deadline=None)
 @given(cell_cases())
+# roots in the top cell, below a dyadic and a non-dyadic 1/m
+@example((code(2, [1, 1]), _series(code(2, [1, 1]), Q(1, 2) - Q(1, 2**66)), Q(1, 2**64)))
+@example((code(3, [0, 2]), _series(code(3, [0, 2]), Q(1, 3) - Q(1, 2**43)), Q(1, 2**40)))
+# exact roots at 1/m: not dyadic for m = 3, dyadic for m in {2, 4}
+@example((code(3, [2, 1]), _series(code(3, [2, 1]), Q(1, 3)), Q(1, 2**40)))
+@example((code(2, [0, 1], Tail.MAX), _series(code(2, [0, 1], Tail.MAX), Q(1, 2)), Q(1, 2**64)))
+@example((code(4, [3, 1]), _series(code(4, [3, 1]), Q(1, 4)), TOL6))
+# no root: the series reaches x at the top grid point, or between it and 1/3
+@example((code(3, [1, 2]), _series(code(3, [1, 2]), top_cell(3, Q(1, 2**40))[1]), Q(1, 2**40)))
+@example((code(3, [1]), _series(code(3, [1]), Q(1, 3) + Q(1, 2**70)), Q(1, 2**64)))
 def test_solve_returns_the_exact_bisection_cell(case):
     c, x, tol = case
     expected = dyadic_cell(c, x, tol)
@@ -290,6 +321,14 @@ def cold_solves():
     exact_arith._bracket.cache_clear()
 
 
+# The series stays below x at 1/m: far below, and reaching x just above 1/3,
+# inside the top grid cell of every tol the test below solves at.
+ROOTLESS = [
+    (code(2, [0, 1]), Q(1, 2)),
+    (code(3, [1, 2]), exact_series((1, 2), False, 3, Q(1, 3) + Q(1, 2**70))),
+]
+
+
 @pytest.mark.parametrize(
     "c, x",
     [
@@ -297,23 +336,35 @@ def cold_solves():
         (code(2, [1, 0], Tail.MAX), Q(1, 2)),
         (code(3, [1, 2, 0], Tail.MAX), Q(2, 7)),
         (code(4, [3, 0, 2, 1]), Q(5, 9)),
-    ],
+    ]
+    + ROOTLESS,
 )
 def test_wrong_float_seed_still_certifies(monkeypatch, cold_solves, c, x):
     m = c.m
-    true_root = float_root(c.prefix, c.tail is Tail.MAX, m, float(x))
+    tols = (Q(1, 2**40), Q(1, 2**64), Q(1, 10**6))
+    rootless = (c, x) in ROOTLESS
+    true_root = float_root(c.prefix, c.tail is Tail.MAX, m, float(x)) or 1.0 / m
     seeds = [float(x / (m - 1 + x)), 1.0 / m, true_root - 0.05, true_root + 0.05]
     # below the grid's lower end, above its upper end, and not finite
     seeds += [-1.0, 1.0, math.nan, math.inf, -math.inf]
-    for tol in (Q(1, 2**40), Q(1, 2**64), Q(1, 10**6)):
+    for tol in tols:
         exact_arith._bracket.cache_clear()
-        usual = solve_lambda(x, c, tol)
+        if rootless:
+            assert dyadic_cell(c, x, tol) is None
+        else:
+            usual = solve_lambda(x, c, tol)
         for seed in seeds:
             # the hook estimates root * 2^k; seed it with the point `seed`
             monkeypatch.setattr(
-                exact_arith, "_estimate_cell", lambda code, x, k, seed=seed: seed * 2**k
+                exact_arith,
+                "_estimate_cell",
+                lambda code, x, x_float, k, seed=seed: seed * 2**k,
             )
             exact_arith._bracket.cache_clear()
+            if rootless:
+                with pytest.raises(NoRootError):
+                    solve_lambda(x, c, tol)
+                continue
             b = solve_lambda(x, c, tol)
             assert eval_pi(b.code, b.lo) <= x <= eval_pi(b.code, b.hi)
             assert b.width <= tol
@@ -347,12 +398,13 @@ def sign_tests(monkeypatch):
 def test_sign_tests_of_cold_covers_are_pinned(sign_tests):
     cover(Q(1, 2), 2, 10, Q(1, 2**40))
     assert exact_arith._bracket.cache_info().misses == 1024
-    assert sign_tests[0] == 3068
+    assert sign_tests[0] == 2046
     exact_arith._bracket.cache_clear()
     sign_tests[0] = 0
     cover(Q(1, 2), 2, 14)
     assert exact_arith._bracket.cache_info().misses == 16384
-    assert sign_tests[0] == 49148  # 3.00 per solve
+    # two per solve; the all-(m-1) code's root x/(m-1+x) needs none
+    assert sign_tests[0] == 32766
 
 
 def test_cached_brackets_are_bounded_by_2_pow_16():

@@ -6,6 +6,8 @@ import pytest
 
 from cantor_toolkit import (
     DEFAULT_TOL,
+    BasicInterval,
+    Code,
     DomainError,
     GreedyExpansion,
     Ordering,
@@ -24,6 +26,7 @@ from cantor_toolkit import (
     meets_thickness_threshold,
     size_ratio_bound,
     tau_estimate,
+    solve_lambda,
     theta_sequence,
 )
 from cantor_toolkit import thickness
@@ -269,6 +272,19 @@ def test_threshold_is_strict_exact_arithmetic():
     assert not meets_thickness_threshold(Q(2414213562373095, 10**15))  # just below 1+sqrt2
     assert meets_thickness_threshold(Q(2414213562373096, 10**15))
     assert not meets_thickness_threshold(Q(1))
+
+
+def test_undecided_lower_end_is_not_inside():
+    # lam = 1/3 solves 1:zero at x = 1/3 and 01:zero at x = 1/9.  Brackets of
+    # two points are ordered only once disjoint, and no halving lands on the
+    # non-dyadic 1/3, so the lower comparison stays undecided.
+    witness = solve_lambda(Q(1, 3), Code(2, (1,)), TOL)
+    left = solve_lambda(Q(1, 9), Code(2, (0, 1)), TOL)
+    right = solve_lambda(Q(1, 9), Code(2, (0, 0, 1)), TOL)  # lam^3 = 1/9
+    hull = BasicInterval((), left, right)
+    assert compare_brackets(witness, left, thickness.INSIDE_BUDGET) is None
+    assert compare_brackets(witness, right, thickness.INSIDE_BUDGET) is Ordering.LESS
+    assert not thickness._certified_inside(witness, hull)
 
 
 def test_identical_points_interleave_diagonally():
