@@ -274,14 +274,17 @@ def cell_cases(draw):
     else:
         # x = series(lam) puts the root on a 2^-20 grid point, at 1/m, inside
         # the top grid cell below 1/m, or above 1/m within that cell (no root)
-        t = Q(draw(st.integers(1, 999)), 1000)
-        low, high = top_cell(m, tol)
-        lam = {
-            "dyadic": lambda: Q(draw(st.integers(1, 2**20 // m)), 2**20),
-            "cap": lambda: Q(1, m),
-            "top": lambda: Q(1, m) - t * (Q(1, m) - low),
-            "above": lambda: Q(1, m) + (t if draw(st.booleans()) else 1) * (high - Q(1, m)),
-        }[where]()
+        if where == "dyadic":
+            lam = Q(draw(st.integers(1, 2**20 // m)), 2**20)
+        elif where == "cap":
+            lam = Q(1, m)
+        else:
+            low, high = top_cell(m, tol)
+            t = Q(draw(st.integers(1, 999)), 1000)
+            if where == "top":
+                lam = Q(1, m) - t * (Q(1, m) - low)
+            else:  # up to and including the top grid point
+                lam = Q(1, m) + (t if draw(st.booleans()) else 1) * (high - Q(1, m))
         x = exact_series(prefix, tail_max, m, lam)
         assume(0 < x < 1)
     return c, x, tol
@@ -325,7 +328,7 @@ def cold_solves():
 # inside the top grid cell of every tol the test below solves at.
 ROOTLESS = [
     (code(2, [0, 1]), Q(1, 2)),
-    (code(3, [1, 2]), exact_series((1, 2), False, 3, Q(1, 3) + Q(1, 2**70))),
+    (code(3, [1, 2]), _series(code(3, [1, 2]), Q(1, 3) + Q(1, 2**70))),
 ]
 
 
@@ -341,13 +344,12 @@ ROOTLESS = [
 )
 def test_wrong_float_seed_still_certifies(monkeypatch, cold_solves, c, x):
     m = c.m
-    tols = (Q(1, 2**40), Q(1, 2**64), Q(1, 10**6))
     rootless = (c, x) in ROOTLESS
     true_root = float_root(c.prefix, c.tail is Tail.MAX, m, float(x)) or 1.0 / m
     seeds = [float(x / (m - 1 + x)), 1.0 / m, true_root - 0.05, true_root + 0.05]
     # below the grid's lower end, above its upper end, and not finite
     seeds += [-1.0, 1.0, math.nan, math.inf, -math.inf]
-    for tol in tols:
+    for tol in (Q(1, 2**40), Q(1, 2**64), Q(1, 10**6)):
         exact_arith._bracket.cache_clear()
         if rootless:
             assert dyadic_cell(c, x, tol) is None
