@@ -25,8 +25,8 @@ from cantor_toolkit import (
     intersection_report,
     meets_thickness_threshold,
     size_ratio_bound,
-    tau_estimate,
     solve_lambda,
+    tau_estimate,
     theta_sequence,
 )
 from cantor_toolkit import thickness
